@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minimt.decode import (
+    _ModelStepper,
     beam_search,
     beam_search_over_stepper,
     forced_token_logprobs,
@@ -9,7 +12,16 @@ from minimt.decode import (
     greedy_decode,
     translate_batch,
 )
-from minimt.model import ModelConfig, build_batch, forward, init_model
+from minimt.model import (
+    DECODER,
+    ENCODER,
+    ModelConfig,
+    build_batch,
+    forward,
+    init_model,
+    quantize_fp16,
+    remove_layers,
+)
 from minimt.rng import Rng
 from minimt.vocab import build_vocab, tokenize
 
@@ -189,3 +201,56 @@ class TestModelDecode:
         lp = forced_token_logprobs(model, records)
         assert lp.shape == (1,)
         assert np.isfinite(lp[0]) and lp[0] < 0
+
+
+LANGS = ("anu_Latn", "bnu_Latn")
+WORD = st.text(alphabet="abcdef ", min_size=1, max_size=9)
+
+
+def _stepper_logits(model, records, beam_size, rng):
+    """prime_logits, then advance on each record's teacher-forced tokens;
+    rows of one sample are shuffled among themselves between steps, which
+    must not matter since they hold the same prefix. Returns the logits per
+    decoder position (N*beam, Tt - 1, vocab)."""
+    src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
+                                              model.config.max_positions)
+    enc_inputs = [list(src_ids[i, :n]) for i, n in enumerate(src_len)]
+    stepper = _ModelStepper(model, enc_inputs, [r.tgt_lang for r in records],
+                            beam_size)
+    out = [stepper.prime_logits()]
+    rows = np.repeat(dec_in, beam_size, axis=0)
+    for g in range(dec_in.shape[1] - 2):
+        parents = (np.repeat(np.arange(len(records)) * beam_size, beam_size)
+                   + rng.integers(0, beam_size, len(rows)))
+        stepper.reorder(parents)
+        out.append(stepper.advance(rows[:, 2 + g], g))
+    return np.stack(out, axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_enc=st.integers(1, 3), n_dec=st.integers(1, 3),
+       n_heads=st.integers(1, 2), beam_size=st.integers(1, 2),
+       seed=st.integers(0, 2**16),
+       pairs=st.lists(st.tuples(WORD, WORD, st.sampled_from(LANGS)),
+                      min_size=1, max_size=4))
+def test_stepper_matches_teacher_forced_logits(n_enc, n_dec, n_heads, beam_size,
+                                               seed, pairs):
+    """The incremental decoder and the teacher-forced pass agree at every
+    decoder position, for the model as built, after layer removal and
+    after fp16 storage; sources in one batch have unequal lengths."""
+    vocab = build_vocab("abcdef ", list(LANGS))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8 * n_heads,
+                      n_heads=n_heads, ffn_dim=16, n_encoder_layers=n_enc,
+                      n_decoder_layers=n_dec, max_positions=16)
+    built = init_model(cfg, vocab, Rng(seed))
+    pruned = remove_layers(built, DECODER, [seed % n_dec] if n_dec > 1 else [])
+    pruned = remove_layers(pruned, ENCODER, [seed % n_enc] if n_enc > 1 else [])
+    records = [FakeRecord(src, tgt, lang, LANGS[1 - LANGS.index(lang)])
+               for src, tgt, lang in pairs]
+    rng = np.random.default_rng(seed)
+    for model in (built, pruned, quantize_fp16(built)):
+        src_ids, src_len, dec_in, _ = build_batch(vocab, records, cfg.max_positions)
+        full = full_decoder_logits_np(model, src_ids, src_len, dec_in)[:, 1:]
+        stepped = _stepper_logits(model, records, beam_size, rng)
+        np.testing.assert_allclose(stepped, np.repeat(full, beam_size, axis=0),
+                                   rtol=0, atol=1e-4)
