@@ -38,7 +38,7 @@ from .corpus import (
     reverse_directions,
     write_corpus,
 )
-from .decode import BeamResult, beam_search, greedy_decode, translate_records
+from .decode import BeamResult, translate_batch, translate_records
 from .filtering import (
     FilterConfig,
     FilterReport,
@@ -62,7 +62,6 @@ from .metrics import (
 from .model import (
     ModelConfig,
     TranslationModel,
-    forward,
     init_model,
     quantize_fp16,
     remove_layers,

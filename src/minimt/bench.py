@@ -21,11 +21,9 @@ class DecodeConfig:
     batch_token_budget: int = 1024
     max_output_length: int = 64
     length_penalty: float = 1.0
-    worker_threads: int = 1
 
     def __post_init__(self):
-        for name in ("beam_size", "batch_token_budget", "max_output_length",
-                     "worker_threads"):
+        for name in ("beam_size", "batch_token_budget", "max_output_length"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 

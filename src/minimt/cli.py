@@ -417,8 +417,7 @@ def cmd_bench(args) -> int:
         "model_id": model.model_id(),
         "decode": {"beam_size": dc.beam_size,
                    "batch_token_budget": dc.batch_token_budget,
-                   "max_output_length": dc.max_output_length,
-                   "worker_threads": dc.worker_threads},
+                   "max_output_length": dc.max_output_length},
         "repetitions": [{
             "tokens_per_second": r.tokens_per_second,
             "timed_seconds": r.timed_seconds,

@@ -1,5 +1,7 @@
-"""Fast inference: plain-numpy forward pass with an incremental decoder
-cache, plus batched greedy/beam decoding with fully deterministic tie-breaks.
+"""Inference: teacher-forced scoring and an incremental decoder with a
+per-layer KV cache, both running model.py's layer functions on float32
+arrays, plus batched greedy/beam decoding with fully deterministic
+tie-breaks.
 
 Scoring: a hypothesis is ranked by cumulative log-probability during search
 and by length-normalized score (logprob / length**penalty) at the end, where
@@ -16,11 +18,16 @@ import numpy as np
 
 from .model import (
     TranslationModel,
+    build_batch,
+    compute_params,
+    decode_batch,
+    decoder_states,
+    encode_batch,
     encoder_input_ids,
+    key_values,
+    output_logits,
     pad_bias,
-    sinusoidal_positions,
 )
-from .tensor import NEG_INF
 from .vocab import detokenize
 
 
@@ -35,105 +42,31 @@ class BeamResult:
     finished: bool
 
 
-def _materialize(model: TranslationModel) -> dict[str, np.ndarray]:
-    return {
-        k: (v.astype(np.float32) if v.dtype == np.float16 else v)
-        for k, v in model.params.items()
-    }
-
-
-def _ln(x, g, b, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    c = x - mu
-    var = (c * c).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (c * inv) * g + b
-
-
-def _heads(x, n_heads):
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
-
-
-def _softmax(x, axis=-1):
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def _log_softmax(x):
     m = x.max(axis=-1, keepdims=True)
     z = x - m
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _attn_full(w, prefix, q_in, kv_in, bias, n_heads):
-    dh = q_in.shape[-1] // n_heads
-    q = _heads(q_in @ w[f"{prefix}.wq"], n_heads)
-    k = _heads(kv_in @ w[f"{prefix}.wk"], n_heads)
-    v = _heads(kv_in @ w[f"{prefix}.wv"], n_heads)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * dh**-0.5
-    if bias is not None:
-        scores = scores + bias
-    return _merge_heads(_softmax(scores) @ v) @ w[f"{prefix}.wo"]
-
-
-def _ffn(w, prefix, x):
-    h = np.maximum(x @ w[f"{prefix}.w1"] + w[f"{prefix}.b1"], 0.0)
-    return h @ w[f"{prefix}.w2"] + w[f"{prefix}.b2"]
-
-
-def _embed(w, config, ids):
-    t = ids.shape[-1]
-    pos = sinusoidal_positions(config.max_positions, config.d_model)[:t]
-    return w["embedding"][ids] * math.sqrt(config.d_model) + pos
-
-
 def encode_np(model_or_w, config, src_ids, src_len):
-    """(enc (N,Ts,d), src pad bias (N,1,1,Ts))."""
-    w = model_or_w if isinstance(model_or_w, dict) else _materialize(model_or_w)
+    """(enc (N,Ts,d), src pad bias (N,1,1,Ts)); model_or_w is a model or its
+    compute_params."""
+    w = model_or_w if isinstance(model_or_w, dict) else compute_params(model_or_w)
     bias = pad_bias(src_len, src_ids.shape[1])
-    x = _embed(w, config, src_ids)
-    for i in range(config.n_encoder_layers):
-        p = f"enc.{i}"
-        h = _ln(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-        x = x + _attn_full(w, f"{p}.attn", h, h, bias, config.n_heads)
-        h = _ln(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-        x = x + _ffn(w, f"{p}.ffn", h)
-    return _ln(x, w["enc.final_ln.g"], w["enc.final_ln.b"]), bias
+    return encode_batch(w, config, src_ids, bias), bias
 
 
 def full_decoder_logits_np(model: TranslationModel, src_ids, src_len, dec_in):
-    """Teacher-forced decoder logits (B, Tt, vocab), no cache; numpy mirror of
-    the differentiable path (used for forced scoring and parity checks)."""
-    w = _materialize(model)
-    config = model.config
-    enc, bias = encode_np(w, config, src_ids, src_len)
-    tt = dec_in.shape[1]
-    causal = np.triu(np.full((tt, tt), NEG_INF, dtype=np.float32), k=1)[None, None]
-    x = _embed(w, config, dec_in)
-    for i in range(config.n_decoder_layers):
-        p = f"dec.{i}"
-        h = _ln(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-        x = x + _attn_full(w, f"{p}.self", h, h, causal, config.n_heads)
-        h = _ln(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-        x = x + _attn_full(w, f"{p}.cross", h, enc, bias, config.n_heads)
-        h = _ln(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
-        x = x + _ffn(w, f"{p}.ffn", h)
-    x = _ln(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
-    return x @ w["embedding"].T
+    """Teacher-forced decoder logits (B, Tt, vocab), no cache, on float32
+    arrays (used for forced scoring and output checks)."""
+    w = compute_params(model)
+    enc, bias = encode_np(w, model.config, src_ids, src_len)
+    return decode_batch(w, model.config, enc, dec_in, bias)
 
 
 def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
     """Length-normalized log-probability of each record's target given its
     source under the model (mean over target characters + eos)."""
-    from .model import build_batch
-
     src_ids, src_len, dec_in, dec_tgt = build_batch(
         model.vocab, records, model.config.max_positions)
     logits = full_decoder_logits_np(model, src_ids, src_len, dec_in)
@@ -158,7 +91,7 @@ class _ModelStepper:
 
     def __init__(self, model: TranslationModel, enc_inputs: list[list[int]],
                  tgt_langs: list[str], beam_size: int):
-        self.w = _materialize(model)
+        self.w = compute_params(model)
         self.config = model.config
         self.vocab = model.vocab
         self.k = beam_size
@@ -173,20 +106,16 @@ class _ModelStepper:
         enc, bias = encode_np(self.w, self.config, src_ids, src_len)
 
         h = self.config.n_heads
-        self.cross_k = []
-        self.cross_v = []
-        for i in range(self.config.n_decoder_layers):
-            p = f"dec.{i}.cross"
-            self.cross_k.append(np.repeat(_heads(enc @ self.w[f"{p}.wk"], h), beam_size, axis=0))
-            self.cross_v.append(np.repeat(_heads(enc @ self.w[f"{p}.wv"], h), beam_size, axis=0))
+        layers = range(self.config.n_decoder_layers)
+        self.cross_kvs = [
+            [np.repeat(a, beam_size, axis=0)
+             for a in key_values(self.w, f"dec.{i}.cross", enc, h)]
+            for i in layers]
         self.cross_bias = np.repeat(bias, beam_size, axis=0)
 
         r = n * beam_size
-        dh = self.config.d_model // h
-        self.self_k = [np.zeros((r, h, 0, dh), dtype=np.float32)
-                       for _ in range(self.config.n_decoder_layers)]
-        self.self_v = [np.zeros((r, h, 0, dh), dtype=np.float32)
-                       for _ in range(self.config.n_decoder_layers)]
+        empty = np.zeros((r, h, 0, self.config.d_model // h), dtype=np.float32)
+        self.caches = [[empty, empty] for _ in layers]
 
         # prime with the forced [tgt tag, bos] prefix (positions 0 and 1)
         tags = np.repeat([self.vocab.lang_tag(t) for t in tgt_langs], beam_size)
@@ -197,9 +126,8 @@ class _ModelStepper:
         return self._logits
 
     def reorder(self, parent_rows: np.ndarray) -> None:
-        for i in range(self.config.n_decoder_layers):
-            self.self_k[i] = self.self_k[i][parent_rows]
-            self.self_v[i] = self.self_v[i][parent_rows]
+        for cache in self.caches:
+            cache[:] = [a[parent_rows] for a in cache]
 
     def advance(self, token_ids: np.ndarray, gen_index: int) -> np.ndarray:
         """Feed the tokens generated at step gen_index (decoder position
@@ -207,32 +135,9 @@ class _ModelStepper:
         return self._step(token_ids, 2 + gen_index)
 
     def _step(self, ids: np.ndarray, position: int) -> np.ndarray:
-        w, config = self.w, self.config
-        h = config.n_heads
-        dh = config.d_model // h
-        pos = sinusoidal_positions(config.max_positions, config.d_model)[position]
-        x = (w["embedding"][ids] * math.sqrt(config.d_model) + pos)[:, None, :]
-        for i in range(config.n_decoder_layers):
-            p = f"dec.{i}"
-            hh = _ln(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
-            q = _heads(hh @ w[f"{p}.self.wq"], h)
-            k_new = _heads(hh @ w[f"{p}.self.wk"], h)
-            v_new = _heads(hh @ w[f"{p}.self.wv"], h)
-            self.self_k[i] = np.concatenate([self.self_k[i], k_new], axis=2)
-            self.self_v[i] = np.concatenate([self.self_v[i], v_new], axis=2)
-            scores = (q @ self.self_k[i].transpose(0, 1, 3, 2)) * dh**-0.5
-            ctx = _merge_heads(_softmax(scores) @ self.self_v[i]) @ w[f"{p}.self.wo"]
-            x = x + ctx
-            hh = _ln(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
-            q = _heads(hh @ w[f"{p}.cross.wq"], h)
-            scores = (q @ self.cross_k[i].transpose(0, 1, 3, 2)) * dh**-0.5
-            scores = scores + self.cross_bias
-            ctx = _merge_heads(_softmax(scores) @ self.cross_v[i]) @ w[f"{p}.cross.wo"]
-            x = x + ctx
-            hh = _ln(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
-            x = x + _ffn(w, f"{p}.ffn", hh)
-        x = _ln(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
-        return (x[:, 0, :] @ w["embedding"].T).astype(np.float32)
+        x = decoder_states(self.w, self.config, ids[:, None], None, self.cross_kvs,
+                           self.cross_bias, start=position, caches=self.caches)
+        return output_logits(self.w, x[:, 0, :])
 
 
 def _normalized(logprob: float, length: int, penalty: float) -> float:
@@ -360,24 +265,3 @@ def translate_records(model: TranslationModel, records, beam_size: int = 3,
         model, [(r.src, r.src_lang, r.tgt_lang) for r in records],
         beam_size, max_len, length_penalty)
     return [detokenize(r.tokens, model.vocab) for r in results]
-
-
-def beam_search(model: TranslationModel, src_tokens, tgt_lang: str,
-                beam_size: int = 3, max_len: int = 64,
-                length_penalty: float = 1.0, *, src_lang: str) -> BeamResult:
-    """Best hypothesis for one pre-tokenized source sequence."""
-    vocab = model.vocab
-    enc_ids = [vocab.lang_tag(src_lang)] + list(src_tokens) + [vocab.eos]
-    if len(enc_ids) > model.config.max_positions:
-        raise ValueError("source exceeds max_positions")
-    if 2 + max_len > model.config.max_positions:
-        max_len = model.config.max_positions - 2
-    stepper = _ModelStepper(model, [enc_ids], [tgt_lang], beam_size)
-    return beam_search_over_stepper(
-        stepper, 1, len(vocab), vocab.eos, beam_size, max_len, length_penalty)[0]
-
-
-def greedy_decode(model: TranslationModel, src_tokens, tgt_lang: str,
-                  max_len: int = 64, *, src_lang: str) -> BeamResult:
-    return beam_search(model, src_tokens, tgt_lang, beam_size=1,
-                       max_len=max_len, src_lang=src_lang)

@@ -2,8 +2,9 @@
 
 Pre-norm blocks, sinusoidal positions, shared source/target embedding tied to
 the output projection. The parameter set is a flat name -> array mapping so
-checkpointing and layer surgery stay trivial. The differentiable forward pass
-lives here; the fast inference path is in decode.py.
+checkpointing and layer surgery stay trivial. The forward pass is defined
+once, here: training runs it on Tensors, and decode.py's teacher-forced
+scoring and incremental decoder run the same functions on float32 arrays.
 """
 
 from __future__ import annotations
@@ -174,8 +175,7 @@ def init_model(config: ModelConfig, vocab: Vocab, rng: Rng,
         if name.endswith((".g",)):
             params[name] = np.ones(d, dtype=np.float32)
         elif name.endswith((".b", ".b2")):
-            width = d if name.endswith(".b") else d
-            params[name] = np.zeros(width, dtype=np.float32)
+            params[name] = np.zeros(d, dtype=np.float32)
         elif name.endswith(".b1"):
             params[name] = np.zeros(f, dtype=np.float32)
         elif name.endswith((".wq", ".wk", ".wv")):
@@ -197,49 +197,109 @@ def init_model(config: ModelConfig, vocab: Vocab, rng: Rng,
 
 
 # ---------------------------------------------------------------------------
-# Differentiable forward pass (training / teacher forcing)
+# Forward pass: the one definition of the transformer math
 # ---------------------------------------------------------------------------
+#
+# Every function below reads weights from w, a name -> weight mapping. For
+# training w holds Tensors and the ops record the autodiff graph; for
+# inference (decode.py: teacher-forced scoring and the incremental decoder)
+# w holds float32 arrays and the same ops return plain arrays.
+
+
+def compute_params(model: TranslationModel) -> dict[str, np.ndarray]:
+    """Float32 weight arrays for compute; fp16 storage is upcast."""
+    return {k: (v.astype(np.float32) if v.dtype == np.float16 else v)
+            for k, v in model.params.items()}
 
 
 def params_as_tensors(model: TranslationModel) -> dict[str, Tensor]:
-    """Non-trainable Tensor views for inference-style forward calls;
-    fp16 storage is upcast to float32 for compute."""
-    out = {}
-    for k, v in model.params.items():
-        out[k] = Tensor(v.astype(np.float32) if v.dtype == np.float16 else v)
-    return out
+    """Non-trainable Tensor views for loss evaluation without training."""
+    return {k: Tensor(v) for k, v in compute_params(model).items()}
 
 
-def _attention_t(t: dict, prefix: str, q_in: Tensor, kv_in: Tensor,
-                 bias: np.ndarray | None, n_heads: int) -> Tensor:
-    b, tq, d = q_in.shape
-    tk = kv_in.shape[1]
-    dh = d // n_heads
+def _split_heads(x, n_heads: int):
+    """(B, T, d) -> (B, heads, T, d / heads)."""
+    b, t, d = x.shape
+    return transpose(reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
 
-    def heads(x, tlen):
-        return transpose(reshape(x, (b, tlen, n_heads, dh)), (0, 2, 1, 3))
 
-    q = heads(matmul(q_in, t[f"{prefix}.wq"]), tq)
-    k = heads(matmul(kv_in, t[f"{prefix}.wk"]), tk)
-    v = heads(matmul(kv_in, t[f"{prefix}.wv"]), tk)
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), dh**-0.5)
+def key_values(w: dict, prefix: str, x, n_heads: int):
+    """Head-split keys and values of x for the attention block at prefix."""
+    return (_split_heads(matmul(x, w[f"{prefix}.wk"]), n_heads),
+            _split_heads(matmul(x, w[f"{prefix}.wv"]), n_heads))
+
+
+def attention(w: dict, prefix: str, x, k, v, bias, n_heads: int):
+    """Scaled dot-product attention of queries from x (B, Tq, d) over
+    head-split k/v (B, heads, Tk, d / heads), plus an additive bias (None for
+    no mask); heads are merged and projected by the block's wo."""
+    b, tq, d = x.shape
+    q = _split_heads(matmul(x, w[f"{prefix}.wq"]), n_heads)
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), (d // n_heads)**-0.5)
     if bias is not None:
         scores = add(scores, bias)
     ctx = matmul(softmax(scores, axis=-1), v)
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-    return matmul(merged, t[f"{prefix}.wo"])
+    return matmul(merged, w[f"{prefix}.wo"])
 
 
-def _ffn_t(t: dict, prefix: str, x: Tensor) -> Tensor:
-    h = relu(add(matmul(x, t[f"{prefix}.w1"]), t[f"{prefix}.b1"]))
-    return add(matmul(h, t[f"{prefix}.w2"]), t[f"{prefix}.b2"])
+def ffn(w: dict, prefix: str, x):
+    h = relu(add(matmul(x, w[f"{prefix}.w1"]), w[f"{prefix}.b1"]))
+    return add(matmul(h, w[f"{prefix}.w2"]), w[f"{prefix}.b2"])
 
 
-def _embed_t(t: dict, config: ModelConfig, ids: np.ndarray) -> Tensor:
-    seq_len = ids.shape[-1]
-    pos = sinusoidal_positions(config.max_positions, config.d_model)[:seq_len]
-    scale = math.sqrt(config.d_model)
-    return add(mul(embedding(t["embedding"], ids), scale), pos)
+def embed(w: dict, config: ModelConfig, ids: np.ndarray, start: int = 0):
+    """Scaled token embeddings of ids (B, T) plus the sinusoidal positions
+    start .. start + T - 1."""
+    pos = sinusoidal_positions(config.max_positions, config.d_model)
+    scaled = mul(embedding(w["embedding"], ids), math.sqrt(config.d_model))
+    return add(scaled, pos[start: start + ids.shape[-1]])
+
+
+def output_logits(w: dict, x):
+    """Tied output projection: states (..., d) -> logits (..., vocab)."""
+    return matmul(x, transpose(w["embedding"], (1, 0)))
+
+
+def _residual(x, branch, rate: float, drop_rng, label: str):
+    if rate:
+        branch = dropout(branch, rate, drop_rng.split(label))
+    return add(x, branch)
+
+
+def encoder_layer(w: dict, i: int, x, bias, n_heads: int,
+                  rate: float = 0.0, drop_rng=None):
+    """Pre-norm block enc.{i}: self-attention under the source pad bias,
+    then FFN; dropout on each branch when rate > 0."""
+    p = f"enc.{i}"
+    h = layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
+    k, v = key_values(w, f"{p}.attn", h, n_heads)
+    a = attention(w, f"{p}.attn", h, k, v, bias, n_heads)
+    x = _residual(x, a, rate, drop_rng, f"{p}.attn")
+    h = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
+    return _residual(x, ffn(w, f"{p}.ffn", h), rate, drop_rng, f"{p}.ffn")
+
+
+def decoder_layer(w: dict, i: int, x, self_bias, cross_kv, cross_bias,
+                  n_heads: int, cache=None, rate: float = 0.0, drop_rng=None):
+    """Pre-norm block dec.{i}: self-attention, cross-attention over the
+    precomputed encoder keys/values cross_kv (key_values of the encoder
+    output), then FFN. With a cache (a [K, V] list, inference only), x holds
+    the newest position; its keys/values are appended to the cache and it
+    attends over every cached position."""
+    p = f"dec.{i}"
+    h = layer_norm(x, w[f"{p}.ln1.g"], w[f"{p}.ln1.b"])
+    k, v = key_values(w, f"{p}.self", h, n_heads)
+    if cache is not None:
+        k = cache[0] = np.concatenate([cache[0], k], axis=2)
+        v = cache[1] = np.concatenate([cache[1], v], axis=2)
+    a = attention(w, f"{p}.self", h, k, v, self_bias, n_heads)
+    x = _residual(x, a, rate, drop_rng, f"{p}.self")
+    h = layer_norm(x, w[f"{p}.ln2.g"], w[f"{p}.ln2.b"])
+    c = attention(w, f"{p}.cross", h, *cross_kv, cross_bias, n_heads)
+    x = _residual(x, c, rate, drop_rng, f"{p}.cross")
+    h = layer_norm(x, w[f"{p}.ln3.g"], w[f"{p}.ln3.b"])
+    return _residual(x, ffn(w, f"{p}.ffn", h), rate, drop_rng, f"{p}.ffn")
 
 
 def pad_bias(lengths: np.ndarray, max_len: int) -> np.ndarray:
@@ -258,52 +318,40 @@ def causal_bias(t_len: int) -> np.ndarray:
     return bias
 
 
-def encode_batch_t(t: dict, config: ModelConfig, src_ids: np.ndarray,
-                   src_bias: np.ndarray, drop_rng=None) -> Tensor:
-    x = _embed_t(t, config, src_ids)
+def encode_batch(w: dict, config: ModelConfig, src_ids: np.ndarray,
+                 src_bias: np.ndarray, drop_rng=None):
+    """Encoder output (B, Ts, d) after the final layer norm."""
+    x = embed(w, config, src_ids)
     rate = config.dropout_rate if drop_rng is not None else 0.0
     for i in range(config.n_encoder_layers):
-        p = f"enc.{i}"
-        h = layer_norm(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
-        a = _attention_t(t, f"{p}.attn", h, h, src_bias, config.n_heads)
-        if rate:
-            a = dropout(a, rate, drop_rng.split(f"{p}.attn"))
-        x = add(x, a)
-        h = layer_norm(x, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-        f = _ffn_t(t, f"{p}.ffn", h)
-        if rate:
-            f = dropout(f, rate, drop_rng.split(f"{p}.ffn"))
-        x = add(x, f)
-    return layer_norm(x, t["enc.final_ln.g"], t["enc.final_ln.b"])
+        x = encoder_layer(w, i, x, src_bias, config.n_heads, rate, drop_rng)
+    return layer_norm(x, w["enc.final_ln.g"], w["enc.final_ln.b"])
 
 
-def decode_batch_t(t: dict, config: ModelConfig, enc: Tensor,
-                   dec_in: np.ndarray, src_bias: np.ndarray,
-                   drop_rng=None) -> Tensor:
-    """Teacher-forced decoder logits (B, Tt, vocab)."""
-    tt = dec_in.shape[1]
-    x = _embed_t(t, config, dec_in)
-    causal = causal_bias(tt)
+def decoder_states(w: dict, config: ModelConfig, ids: np.ndarray, self_bias,
+                   cross_kvs, cross_bias, *, start: int = 0, caches=None,
+                   drop_rng=None):
+    """Final-norm decoder states (B, T, d) for input ids at positions
+    start .. start + T - 1. cross_kvs yields each layer's encoder keys and
+    values; caches, when given, holds each layer's [K, V] self-attention
+    cache (see decoder_layer)."""
+    x = embed(w, config, ids, start)
     rate = config.dropout_rate if drop_rng is not None else 0.0
-    for i in range(config.n_decoder_layers):
-        p = f"dec.{i}"
-        h = layer_norm(x, t[f"{p}.ln1.g"], t[f"{p}.ln1.b"])
-        a = _attention_t(t, f"{p}.self", h, h, causal, config.n_heads)
-        if rate:
-            a = dropout(a, rate, drop_rng.split(f"{p}.self"))
-        x = add(x, a)
-        h = layer_norm(x, t[f"{p}.ln2.g"], t[f"{p}.ln2.b"])
-        c = _attention_t(t, f"{p}.cross", h, enc, src_bias, config.n_heads)
-        if rate:
-            c = dropout(c, rate, drop_rng.split(f"{p}.cross"))
-        x = add(x, c)
-        h = layer_norm(x, t[f"{p}.ln3.g"], t[f"{p}.ln3.b"])
-        f = _ffn_t(t, f"{p}.ffn", h)
-        if rate:
-            f = dropout(f, rate, drop_rng.split(f"{p}.ffn"))
-        x = add(x, f)
-    x = layer_norm(x, t["dec.final_ln.g"], t["dec.final_ln.b"])
-    return matmul(x, transpose(t["embedding"], (1, 0)))
+    caches = caches or [None] * config.n_decoder_layers
+    for i, cross_kv, cache in zip(range(config.n_decoder_layers), cross_kvs, caches):
+        x = decoder_layer(w, i, x, self_bias, cross_kv, cross_bias, config.n_heads,
+                          cache, rate, drop_rng)
+    return layer_norm(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
+
+
+def decode_batch(w: dict, config: ModelConfig, enc, dec_in: np.ndarray,
+                 src_bias: np.ndarray, drop_rng=None):
+    """Teacher-forced decoder logits (B, Tt, vocab)."""
+    cross_kvs = (key_values(w, f"dec.{i}.cross", enc, config.n_heads)
+                 for i in range(config.n_decoder_layers))
+    x = decoder_states(w, config, dec_in, causal_bias(dec_in.shape[1]),
+                       cross_kvs, src_bias, drop_rng=drop_rng)
+    return output_logits(w, x)
 
 
 def encoder_input_ids(vocab: Vocab, text: str, src_lang: str) -> list[int]:
@@ -353,32 +401,11 @@ def batch_loss(t: dict, config: ModelConfig, vocab: Vocab, batch,
     """Mean teacher-forced cross-entropy over non-pad target positions."""
     src_ids, src_len, dec_in, dec_tgt = batch
     src_bias = pad_bias(src_len, src_ids.shape[1])
-    enc = encode_batch_t(t, config, src_ids, src_bias, drop_rng)
-    logits = decode_batch_t(t, config, enc, dec_in, src_bias, drop_rng)
+    enc = encode_batch(t, config, src_ids, src_bias, drop_rng)
+    logits = decode_batch(t, config, enc, dec_in, src_bias, drop_rng)
     flat = reshape(logits, (-1, config.vocab_size))
     return cross_entropy(flat, dec_tgt.reshape(-1), label_smoothing,
                          ignore_index=vocab.pad)
-
-
-def forward(model: TranslationModel, src_tokens, tgt_prefix_tokens,
-            tgt_lang: str, *, src_lang: str) -> Tensor:
-    """Next-token logits for every decoder position of a single sample.
-
-    Encoder input is [src_lang tag] + src_tokens + [eos]; decoder input is
-    [tgt_lang tag, bos] + tgt_prefix_tokens. Deterministic (no dropout).
-    """
-    vocab = model.vocab
-    enc_ids = [vocab.lang_tag(src_lang)] + list(src_tokens) + [vocab.eos]
-    dec_ids = decoder_start_ids(vocab, tgt_lang) + list(tgt_prefix_tokens)
-    if len(enc_ids) > model.config.max_positions or len(dec_ids) > model.config.max_positions:
-        raise ValueError(f"sequence exceeds max_positions={model.config.max_positions}")
-    t = params_as_tensors(model)
-    src_ids = np.asarray([enc_ids], dtype=np.int64)
-    src_bias = pad_bias(np.array([len(enc_ids)]), len(enc_ids))
-    enc = encode_batch_t(t, model.config, src_ids, src_bias)
-    logits = decode_batch_t(t, model.config, enc,
-                            np.asarray([dec_ids], dtype=np.int64), src_bias)
-    return reshape(logits, (len(dec_ids), model.config.vocab_size))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +434,6 @@ def remove_layers(model: TranslationModel, side: str, indices) -> TranslationMod
     else:
         new_config = replace(model.config, n_decoder_layers=len(survivors))
 
-    remap = {old: new for new, old in enumerate(survivors)}
     new_params: dict[str, np.ndarray] = {}
     for name in parameter_names(new_config):
         if name.startswith(f"{prefix}.") and name.split(".")[1].isdigit():
@@ -416,8 +442,6 @@ def remove_layers(model: TranslationModel, side: str, indices) -> TranslationMod
             new_params[name] = model.params[old_name].copy()
         else:
             new_params[name] = model.params[name].copy()
-    # sanity: remap covers exactly the survivors
-    assert len(remap) == len(survivors)
     return TranslationModel(new_config, model.vocab, new_params,
                             model.precision, dict(model.metadata))
 

@@ -4,6 +4,11 @@ Define-by-run: every op records its parents and a backward closure; backward()
 walks the graph in reverse topological order. Storage is float32; the test
 harness can switch leaf creation to float64 via shadow_float64() for
 finite-difference oracles. Ops never mutate their inputs.
+
+Every op also takes plain operands: when none of them is a Tensor the op
+returns the plain ndarray its numpy expression computes, with no Tensor or
+graph bookkeeping, so one model definition serves training (Tensors) and
+inference (float32 arrays).
 """
 
 from __future__ import annotations
@@ -84,17 +89,26 @@ class Tensor:
 def _neg_const(x):
     if isinstance(x, Tensor):
         return mul(x, -1.0)
-    return -np.asarray(x)
+    return -_raw(x)
 
 
 def _track(*operands):
-    return any(isinstance(t, Tensor) and (t.requires_grad or t._bwd is not None)
-               for t in operands)
+    for t in operands:
+        if isinstance(t, Tensor) and (t.requires_grad or t._bwd is not None):
+            return True
+    return False
 
 
-def _result(data, operands, bwd, tracked):
-    if not tracked:
-        return Tensor(data)
+def _untracked(data, *operands):
+    """Result without a graph node: an untracked Tensor when any operand is
+    a Tensor, else the plain array."""
+    for t in operands:
+        if isinstance(t, Tensor):
+            return Tensor(data)
+    return data
+
+
+def _result(data, operands, bwd):
     parents = tuple(t for t in operands if isinstance(t, Tensor))
     return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd)
 
@@ -133,15 +147,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _raw(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+    """Operand data. Python scalars pass through unwrapped: NumPy keeps an
+    array's dtype against a Python scalar but promotes float32 against a
+    0-d float64 array."""
+    if isinstance(x, (np.ndarray, int, float)):
+        return x
+    if isinstance(x, Tensor):
+        return x.data
+    return np.asarray(x)
 
 
 def add(a, b) -> Tensor:
     ad, bd = _raw(a), _raw(b)
     out = ad + bd
-    tracked = _track(a, b)
-    if not tracked:
-        return Tensor(out)
+    if not _track(a, b):
+        return _untracked(out, a, b)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -149,15 +169,14 @@ def add(a, b) -> Tensor:
         if isinstance(b, Tensor):
             _accum(b, _unbroadcast(g, bd.shape))
 
-    return _result(out, (a, b), bwd, tracked)
+    return _result(out, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     ad, bd = _raw(a), _raw(b)
     out = ad * bd
-    tracked = _track(a, b)
-    if not tracked:
-        return Tensor(out)
+    if not _track(a, b):
+        return _untracked(out, a, b)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -165,7 +184,7 @@ def mul(a, b) -> Tensor:
         if isinstance(b, Tensor):
             _accum_owned(b, _unbroadcast(g * ad, bd.shape))
 
-    return _result(out, (a, b), bwd, tracked)
+    return _result(out, (a, b), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -176,9 +195,8 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner dimension mismatch: {ad.shape} @ {bd.shape}")
     out = ad @ bd
-    tracked = _track(a, b)
-    if not tracked:
-        return Tensor(out)
+    if not _track(a, b):
+        return _untracked(out, a, b)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -186,62 +204,60 @@ def matmul(a, b) -> Tensor:
         if isinstance(b, Tensor):
             _accum_owned(b, _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape))
 
-    return _result(out, (a, b), bwd, tracked)
+    return _result(out, (a, b), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    out = np.where(mask, x.data, 0)
-    tracked = _track(x)
-    if not tracked:
-        return Tensor(out)
+    xd = _raw(x)
+    out = np.maximum(xd, 0.0)
+    if not _track(x):
+        return _untracked(out, x)
+    mask = xd > 0
 
     def bwd(g):
         _accum_owned(x, g * mask)
 
-    return _result(out, (x,), bwd, tracked)
+    return _result(out, (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
-    tracked = _track(x)
-    if not tracked:
-        return Tensor(out)
+    xd = _raw(x)
+    out = xd.reshape(shape)
+    if not _track(x):
+        return _untracked(out, x)
 
     def bwd(g):
-        _accum(x, g.reshape(x.data.shape))
+        _accum(x, g.reshape(xd.shape))
 
-    return _result(out, (x,), bwd, tracked)
+    return _result(out, (x,), bwd)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = x.data.transpose(axes)
-    tracked = _track(x)
-    if not tracked:
-        return Tensor(out)
+    out = _raw(x).transpose(axes)
+    if not _track(x):
+        return _untracked(out, x)
     inverse = np.argsort(axes)
 
     def bwd(g):
         _accum(x, g.transpose(inverse))
 
-    return _result(out, (x,), bwd, tracked)
+    return _result(out, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along one axis."""
-    xd = x.data
+    xd = _raw(x)
     shifted = xd - xd.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-    tracked = _track(x)
-    if not tracked:
-        return Tensor(out)
+    if not _track(x):
+        return _untracked(out, x)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         _accum_owned(x, out * (g - inner))
 
-    return _result(out, (x,), bwd, tracked)
+    return _result(out, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:
@@ -255,9 +271,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = centered * inv
     out = xhat * gd + bd
-    tracked = _track(x, gain, bias)
-    if not tracked:
-        return Tensor(out)
+    if not _track(x, gain, bias):
+        return _untracked(out, x, gain, bias)
 
     def bwd(g):
         if isinstance(gain, Tensor):
@@ -270,23 +285,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
 
-    return _result(out, (x, gain, bias), bwd, tracked)
+    return _result(out, (x, gain, bias), bwd)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row gather: weight[(V, d)], ids int array (...,) -> (..., d)."""
     ids = np.asarray(ids)
-    out = weight.data[ids]
-    tracked = _track(weight)
-    if not tracked:
-        return Tensor(out)
+    wd = _raw(weight)
+    out = wd[ids]
+    if not _track(weight):
+        return _untracked(out, weight)
 
     def bwd(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros_like(wd)
         np.add.at(gw, ids, g)
         _accum_owned(weight, gw)
 
-    return _result(out, (weight,), bwd, tracked)
+    return _result(out, (weight,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng) -> Tensor:
@@ -295,25 +310,26 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
-    mask = (rng.uniform(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
+    xd = _raw(x)
+    mask = (rng.uniform(xd.shape) >= rate).astype(xd.dtype) / (1.0 - rate)
     return mul(x, mask)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = x.data.sum()
-    tracked = _track(x)
-    if not tracked:
-        return Tensor(out)
+    xd = _raw(x)
+    out = xd.sum()
+    if not _track(x):
+        return _untracked(out, x)
 
     def bwd(g):
-        _accum_owned(x, np.broadcast_to(g, x.data.shape).copy() if np.ndim(g) else
-               np.full_like(x.data, g))
+        _accum_owned(x, np.broadcast_to(g, xd.shape).copy() if np.ndim(g) else
+               np.full_like(xd, g))
 
-    return _result(out, (x,), bwd, tracked)
+    return _result(out, (x,), bwd)
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
+    n = _raw(x).size
     return mul(sum_all(x), 1.0 / n)
 
 
@@ -355,9 +371,9 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
         per_row = -gold_lp
     loss_val = (per_row * keep).sum() / count
 
-    tracked = _track(logits)
-    if not tracked:
-        return Tensor(np.asarray(loss_val, dtype=ld.dtype))
+    loss = np.asarray(loss_val, dtype=ld.dtype)
+    if not _track(logits):
+        return _untracked(loss, logits)
 
     def bwd(g):
         p = np.exp(logp)
@@ -369,7 +385,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
         dl[~keep] = 0.0
         _accum_owned(logits, dl)
 
-    return _result(np.asarray(loss_val, dtype=ld.dtype), (logits,), bwd, tracked)
+    return _result(loss, (logits,), bwd)
 
 
 def backward(loss: Tensor) -> None:

@@ -170,7 +170,7 @@ def test_criterion_06_greedy_audit_and_prefix_consistency(toy_runs):
 
 def test_criterion_07_pruned_model_is_faster(toy_run, toy_corpus):
     cfg = DecodeConfig(beam_size=3, batch_token_budget=1024,
-                       max_output_length=DECODE_MAX_LEN, worker_threads=1)
+                       max_output_length=DECODE_MAX_LEN)
     testset = toy_corpus.devtest
     base_runs, pruned_runs = [], []
     for _ in range(3):

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from minimt.decode import (
     _ModelStepper,
-    beam_search,
     beam_search_over_stepper,
     forced_token_logprobs,
     full_decoder_logits_np,
-    greedy_decode,
     translate_batch,
 )
 from minimt.model import (
@@ -17,13 +15,14 @@ from minimt.model import (
     ENCODER,
     ModelConfig,
     build_batch,
-    forward,
+    decoder_start_ids,
+    encoder_input_ids,
     init_model,
     quantize_fp16,
     remove_layers,
 )
 from minimt.rng import Rng
-from minimt.vocab import build_vocab, tokenize
+from minimt.vocab import build_vocab
 
 from .gradcheck import FakeRecord
 
@@ -132,35 +131,22 @@ class TestBeamCore:
 
 
 class TestModelDecode:
-    def test_beam1_equals_greedy_chain_from_forward(self, model):
+    def test_beam1_equals_greedy_chain_from_teacher_forcing(self, model):
         v = model.vocab
-        src = tokenize("abc fed", v)
-        res = greedy_decode(model, src, "bnu_Latn", max_len=8, src_lang="anu_Latn")
-        # reference: repeated full forward + argmax
+        res = translate_batch(model, [("abc fed", "anu_Latn", "bnu_Latn")],
+                              beam_size=1, max_len=8)[0]
+        # reference: repeated teacher-forced pass + argmax at the last position
+        src = encoder_input_ids(v, "abc fed", "anu_Latn")
         prefix = []
         for _ in range(8):
-            logits = forward(model, src, prefix, "bnu_Latn", src_lang="anu_Latn").data
-            nxt = int(np.argmax(logits[-1]))
+            dec_in = np.array([decoder_start_ids(v, "bnu_Latn") + prefix])
+            logits = full_decoder_logits_np(model, np.array([src]),
+                                            np.array([len(src)]), dec_in)
+            nxt = int(np.argmax(logits[0, -1]))
             if nxt == v.eos:
                 break
             prefix.append(nxt)
         assert list(res.tokens) == prefix
-
-    def test_full_np_matches_tensor_path(self, model):
-        records = [
-            FakeRecord("ab fc", "fed", "anu_Latn", "bnu_Latn"),
-            FakeRecord("cade", "ab", "bnu_Latn", "anu_Latn"),
-        ]
-        src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
-                                                  model.config.max_positions)
-        got = full_decoder_logits_np(model, src_ids, src_len, dec_in)
-        # tensor path, one record at a time (no padding effects)
-        for i, r in enumerate(records):
-            t_logits = forward(model, tokenize(r.src, model.vocab),
-                               tokenize(r.tgt, model.vocab), r.tgt_lang,
-                               src_lang=r.src_lang).data
-            rows = t_logits.shape[0]
-            assert np.allclose(got[i, :rows], t_logits, atol=1e-4, rtol=1e-4)
 
     def test_batch_composition_does_not_change_results(self, model):
         items = [("abc", "anu_Latn", "bnu_Latn"),

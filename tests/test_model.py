@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from minimt.checkpoint import checkpoint_bytes
+from minimt.decode import full_decoder_logits_np, translate_batch
 from minimt.model import (
     ModelConfig,
-    forward,
+    build_batch,
     init_model,
     quantize_fp16,
     remove_layers,
 )
 from minimt.rng import Rng
-from minimt.vocab import build_vocab, tokenize
+from minimt.vocab import build_vocab
 
-from .gradcheck import check_model_gradients
+from .gradcheck import FakeRecord, check_model_gradients
 
 
 @pytest.fixture(scope="module")
@@ -35,36 +36,36 @@ class TestConfig:
         assert cfg.n_decoder_layers == 12
 
 
+def _logits(model, src, tgt, tgt_lang):
+    """Teacher-forced logits of one record: decoder input [tag, bos] + tgt."""
+    src_ids, src_len, dec_in, _ = build_batch(
+        model.vocab, [FakeRecord(src, tgt, "anu_Latn", tgt_lang)],
+        model.config.max_positions)
+    return full_decoder_logits_np(model, src_ids, src_len, dec_in)[0]
+
+
 class TestForward:
     def test_logits_shape(self, small_model):
-        v = small_model.vocab
-        src = tokenize("abc", v)
-        prefix = tokenize("fe", v)
-        logits = forward(small_model, src, prefix, "bnu_Latn", src_lang="anu_Latn")
+        logits = _logits(small_model, "abc", "fe", "bnu_Latn")
         # decoder input = [tag, bos] + prefix
-        assert logits.shape == (2 + len(prefix), len(v))
+        assert logits.shape == (2 + len("fe"), len(small_model.vocab))
 
     def test_deterministic_without_dropout(self, small_model):
-        v = small_model.vocab
-        src = tokenize("fed", v)
-        a = forward(small_model, src, [], "bnu_Latn", src_lang="anu_Latn").data
-        b = forward(small_model, src, [], "bnu_Latn", src_lang="anu_Latn").data
+        a = _logits(small_model, "fed", "", "bnu_Latn")
+        b = _logits(small_model, "fed", "", "bnu_Latn")
         assert np.array_equal(a, b)
 
     def test_unknown_language_raises(self, small_model):
         with pytest.raises(ValueError):
-            forward(small_model, [5], [], "zzz_Latn", src_lang="anu_Latn")
+            translate_batch(small_model, [("a", "anu_Latn", "zzz_Latn")])
 
     def test_overlength_raises(self, small_model):
-        src = [5] * 40
         with pytest.raises(ValueError, match="max_positions"):
-            forward(small_model, src, [], "bnu_Latn", src_lang="anu_Latn")
+            translate_batch(small_model, [("a" * 40, "anu_Latn", "bnu_Latn")])
 
     def test_target_language_tag_changes_logits(self, small_model):
-        v = small_model.vocab
-        src = tokenize("abc", v)
-        a = forward(small_model, src, [], "anu_Latn", src_lang="anu_Latn").data
-        b = forward(small_model, src, [], "bnu_Latn", src_lang="anu_Latn").data
+        a = _logits(small_model, "abc", "", "anu_Latn")
+        b = _logits(small_model, "abc", "", "bnu_Latn")
         assert not np.allclose(a, b)
 
 

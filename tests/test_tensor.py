@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimt.model import ModelConfig, batch_loss, build_batch, init_model
 from minimt.rng import Rng
 from minimt.tensor import (
     Tensor,
+    add,
     backward,
     cross_entropy,
+    embedding,
     layer_norm,
     matmul,
+    mul,
     relu,
     reshape,
     shadow_float64,
@@ -19,6 +23,9 @@ from minimt.tensor import (
     sum_all,
     transpose,
 )
+from minimt.vocab import build_vocab
+
+from .gradcheck import FakeRecord, micro_model_and_batch
 
 
 def triple_loop_matmul(a, b):
@@ -250,3 +257,67 @@ class TestBackward:
             y = y + 0.0
         backward(sum_all(y))
         assert np.allclose(x.grad, 1.0)
+
+
+class TestDtype:
+    """Python scalars keep an operand's dtype; NumPy 2 would promote float32
+    to float64 against a 0-d float64 array."""
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_python_scalar_keeps_float32(self, requires_grad):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=requires_grad)
+        for y in (mul(x, 0.5), add(x, 0.5), x * 2, x + 1, x - 0.5, -x):
+            assert y.data.dtype == np.float32
+
+    def test_python_scalar_keeps_float64_under_shadow(self):
+        with shadow_float64():
+            x = Tensor(Rng(1).normal((3,)), requires_grad=True)
+            for y in (mul(x, 0.5), add(x, 0.5), x - 0.5):
+                assert y.data.dtype == np.float64
+
+    def test_batch_loss_is_float32(self):
+        vocab = build_vocab("abcd ", ["anu_Latn", "bnu_Latn"])
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, ffn_dim=16,
+                             n_encoder_layers=1, n_decoder_layers=1, max_positions=16)
+        model = init_model(config, vocab, Rng(3))
+        batch = build_batch(vocab, [FakeRecord("ab", "cd", "anu_Latn", "bnu_Latn")], 16)
+        tensors = {k: Tensor(v, requires_grad=True) for k, v in model.params.items()}
+        loss = batch_loss(tensors, config, vocab, batch, label_smoothing=0.1)
+        backward(loss)
+        assert loss.data.dtype == np.float32
+        assert all(t.grad.dtype == np.float32 for t in tensors.values())
+
+    def test_batch_loss_is_float64_under_shadow(self):
+        with shadow_float64():
+            model, vocab, config, records = micro_model_and_batch(seed=4)
+            batch = build_batch(vocab, records, config.max_positions)
+            tensors = {k: Tensor(v) for k, v in model.params.items()}
+            loss = batch_loss(tensors, config, vocab, batch)
+        assert loss.data.dtype == np.float64
+
+
+class TestPlainArrays:
+    """With no Tensor operand an op returns the plain array its Tensor form
+    computes."""
+
+    def test_plain_operands_give_the_tensor_result(self):
+        r = Rng(40)
+        x, w = r.normal((2, 3, 4)), r.normal((4, 4))
+        g, b = r.normal((4,)), r.normal((4,))
+        ids = np.array([[0, 3], [2, 1]])
+        cases = [
+            (add, (x, b)), (mul, (x, 0.5)), (matmul, (x, w)), (relu, (x,)),
+            (lambda a: reshape(a, (6, 4)), (x,)),
+            (lambda a: transpose(a, (0, 2, 1)), (x,)),
+            (softmax, (x,)), (layer_norm, (x, g, b)), (embedding, (w, ids)),
+            (sum_all, (x,)),
+            (lambda a: cross_entropy(a, np.array([1, 2])), (x[0, :2],)),
+        ]
+        for op, args in cases:
+            plain = op(*args)
+            tensor = op(*(Tensor(a) if isinstance(a, np.ndarray) and a.dtype.kind == "f"
+                          else a for a in args))
+            assert not isinstance(plain, Tensor)
+            assert isinstance(tensor, Tensor)
+            assert np.asarray(plain).dtype == np.float32
+            assert np.array_equal(plain, tensor.data)
