@@ -94,9 +94,7 @@ class _ModelStepper:
         self.w = compute_params(model)
         self.config = model.config
         self.vocab = model.vocab
-        self.k = beam_size
         n = len(enc_inputs)
-        self.n = n
 
         ts = max(len(s) for s in enc_inputs)
         src_ids = np.zeros((n, ts), dtype=np.int64)
