@@ -5,10 +5,10 @@ walks the graph in reverse topological order. Storage is float32; the test
 harness can switch leaf creation to float64 via shadow_float64() for
 finite-difference oracles. Ops never mutate their inputs.
 
-Every op also takes plain operands: when none of them is a Tensor the op
-returns the plain ndarray its numpy expression computes, with no Tensor or
-graph bookkeeping, so one model definition serves training (Tensors) and
-inference (float32 arrays).
+Every op also takes plain operands: when each operand is an ndarray or a
+Python scalar the op returns the plain ndarray its numpy expression
+computes, with no Tensor or graph bookkeeping, so one model definition
+serves training (Tensors) and inference (float32 arrays).
 """
 
 from __future__ import annotations
@@ -99,15 +99,6 @@ def _track(*operands):
     return False
 
 
-def _untracked(data, *operands):
-    """Result without a graph node: an untracked Tensor when any operand is
-    a Tensor, else the plain array."""
-    for t in operands:
-        if isinstance(t, Tensor):
-            return Tensor(data)
-    return data
-
-
 def _result(data, operands, bwd):
     parents = tuple(t for t in operands if isinstance(t, Tensor))
     return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd)
@@ -147,9 +138,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _raw(x):
-    """Operand data. Python scalars pass through unwrapped: NumPy keeps an
-    array's dtype against a Python scalar but promotes float32 against a
-    0-d float64 array."""
+    """Operand data. ndarrays and Python scalars come back as themselves, so
+    an op whose operands all satisfy _raw(x) is x returns its plain result.
+    Python scalars stay unwrapped because NumPy keeps an array's dtype
+    against them but promotes float32 against a 0-d float64 array."""
     if isinstance(x, (np.ndarray, int, float)):
         return x
     if isinstance(x, Tensor):
@@ -160,8 +152,10 @@ def _raw(x):
 def add(a, b) -> Tensor:
     ad, bd = _raw(a), _raw(b)
     out = ad + bd
+    if ad is a and bd is b:
+        return out
     if not _track(a, b):
-        return _untracked(out, a, b)
+        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -175,8 +169,10 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     ad, bd = _raw(a), _raw(b)
     out = ad * bd
+    if ad is a and bd is b:
+        return out
     if not _track(a, b):
-        return _untracked(out, a, b)
+        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -195,8 +191,10 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul inner dimension mismatch: {ad.shape} @ {bd.shape}")
     out = ad @ bd
+    if ad is a and bd is b:
+        return out
     if not _track(a, b):
-        return _untracked(out, a, b)
+        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -210,8 +208,10 @@ def matmul(a, b) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     xd = _raw(x)
     out = np.maximum(xd, 0.0)
+    if xd is x:
+        return out
     if not _track(x):
-        return _untracked(out, x)
+        return Tensor(out)
     mask = xd > 0
 
     def bwd(g):
@@ -223,8 +223,10 @@ def relu(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     xd = _raw(x)
     out = xd.reshape(shape)
+    if xd is x:
+        return out
     if not _track(x):
-        return _untracked(out, x)
+        return Tensor(out)
 
     def bwd(g):
         _accum(x, g.reshape(xd.shape))
@@ -233,9 +235,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = _raw(x).transpose(axes)
+    xd = _raw(x)
+    out = xd.transpose(axes)
+    if xd is x:
+        return out
     if not _track(x):
-        return _untracked(out, x)
+        return Tensor(out)
     inverse = np.argsort(axes)
 
     def bwd(g):
@@ -250,8 +255,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = xd - xd.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
+    if xd is x:
+        return out
     if not _track(x):
-        return _untracked(out, x)
+        return Tensor(out)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -271,8 +278,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = centered * inv
     out = xhat * gd + bd
+    if xd is x and gd is gain and bd is bias:
+        return out
     if not _track(x, gain, bias):
-        return _untracked(out, x, gain, bias)
+        return Tensor(out)
 
     def bwd(g):
         if isinstance(gain, Tensor):
@@ -293,8 +302,10 @@ def embedding(weight: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     wd = _raw(weight)
     out = wd[ids]
+    if wd is weight:
+        return out
     if not _track(weight):
-        return _untracked(out, weight)
+        return Tensor(out)
 
     def bwd(g):
         gw = np.zeros_like(wd)
@@ -318,8 +329,10 @@ def dropout(x: Tensor, rate: float, rng) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     xd = _raw(x)
     out = xd.sum()
+    if xd is x:
+        return out
     if not _track(x):
-        return _untracked(out, x)
+        return Tensor(out)
 
     def bwd(g):
         _accum_owned(x, np.broadcast_to(g, xd.shape).copy() if np.ndim(g) else
@@ -372,8 +385,10 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
     loss_val = (per_row * keep).sum() / count
 
     loss = np.asarray(loss_val, dtype=ld.dtype)
+    if ld is logits:
+        return loss
     if not _track(logits):
-        return _untracked(loss, logits)
+        return Tensor(loss)
 
     def bwd(g):
         p = np.exp(logp)
