@@ -135,7 +135,10 @@ class _ModelStepper:
     def _step(self, ids: np.ndarray, position: int) -> np.ndarray:
         x = decoder_states(self.w, self.config, ids[:, None], None, self.cross_kvs,
                            self.cross_bias, start=position, caches=self.caches)
-        return output_logits(self.w, x[:, 0, :])
+        # (R, 1, d) @ (d, vocab) runs one gemm per row; a 2-D (R, d) gemm would
+        # round a row differently depending on R, so a row's logits would
+        # depend on which other rows share the batch
+        return output_logits(self.w, x)[:, 0, :]
 
 
 def _normalized(logprob: float, length: int, penalty: float) -> float:

@@ -193,24 +193,47 @@ LANGS = ("anu_Latn", "bnu_Latn")
 WORD = st.text(alphabet="abcdef ", min_size=1, max_size=9)
 
 
-def _stepper_logits(model, records, beam_size, rng):
-    """prime_logits, then advance on each record's teacher-forced tokens;
-    rows of one sample are shuffled among themselves between steps, which
-    must not matter since they hold the same prefix. Returns the logits per
-    decoder position (N*beam, Tt - 1, vocab)."""
+def _tiny_models(n_enc, n_dec, n_heads, d_model, seed):
+    """A random model, a copy with one layer per side removed and an fp16
+    copy."""
+    vocab = build_vocab("abcdef ", list(LANGS))
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, n_heads=n_heads,
+                      ffn_dim=16, n_encoder_layers=n_enc,
+                      n_decoder_layers=n_dec, max_positions=16)
+    built = init_model(cfg, vocab, Rng(seed))
+    pruned = remove_layers(built, DECODER, [seed % n_dec] if n_dec > 1 else [])
+    pruned = remove_layers(pruned, ENCODER, [seed % n_enc] if n_enc > 1 else [])
+    return built, pruned, quantize_fp16(built)
+
+
+def _records(pairs):
+    return [FakeRecord(src, tgt, lang, LANGS[1 - LANGS.index(lang)])
+            for src, tgt, lang in pairs]
+
+
+def _stepper_logits(model, records, beam_size, rng, samples=None):
+    """Feed a stepper over records[samples] (all of them by default) each
+    record's teacher-forced tokens. Rows of one sample are shuffled among
+    themselves between steps, which must not matter since they hold the
+    same prefix. Returns {(sample, decoder position): logits (beam, vocab)}
+    for every step each sample took part in."""
     src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
                                               model.config.max_positions)
-    enc_inputs = [list(src_ids[i, :n]) for i, n in enumerate(src_len)]
-    stepper = _ModelStepper(model, enc_inputs, [r.tgt_lang for r in records],
-                            beam_size)
-    out = [stepper.prime_logits()]
-    rows = np.repeat(dec_in, beam_size, axis=0)
-    for g in range(dec_in.shape[1] - 2):
-        parents = (np.repeat(np.arange(len(records)) * beam_size, beam_size)
-                   + rng.integers(0, beam_size, len(rows)))
-        stepper.reorder(parents)
-        out.append(stepper.advance(rows[:, 2 + g], g))
-    return np.stack(out, axis=1)
+    live = list(range(len(records))) if samples is None else list(samples)
+    stepper = _ModelStepper(model, [list(src_ids[i, :src_len[i]]) for i in live],
+                            [records[i].tgt_lang for i in live], beam_size)
+    logits = stepper.prime_logits()
+    out = {}
+    for position in range(1, dec_in.shape[1]):
+        if position > 1:
+            parents = (np.repeat(np.arange(len(live)) * beam_size, beam_size)
+                       + rng.integers(0, beam_size, len(live) * beam_size))
+            stepper.reorder(parents)
+            logits = stepper.advance(np.repeat(dec_in[live, position], beam_size),
+                                     position - 2)
+        for j, s in enumerate(live):
+            out[s, position] = logits[j * beam_size: (j + 1) * beam_size]
+    return out
 
 
 @settings(max_examples=20, deadline=None)
@@ -224,19 +247,41 @@ def test_stepper_matches_teacher_forced_logits(n_enc, n_dec, n_heads, beam_size,
     """The incremental decoder and the teacher-forced pass agree at every
     decoder position, for the model as built, after layer removal and
     after fp16 storage; sources in one batch have unequal lengths."""
-    vocab = build_vocab("abcdef ", list(LANGS))
-    cfg = ModelConfig(vocab_size=len(vocab), d_model=8 * n_heads,
-                      n_heads=n_heads, ffn_dim=16, n_encoder_layers=n_enc,
-                      n_decoder_layers=n_dec, max_positions=16)
-    built = init_model(cfg, vocab, Rng(seed))
-    pruned = remove_layers(built, DECODER, [seed % n_dec] if n_dec > 1 else [])
-    pruned = remove_layers(pruned, ENCODER, [seed % n_enc] if n_enc > 1 else [])
-    records = [FakeRecord(src, tgt, lang, LANGS[1 - LANGS.index(lang)])
-               for src, tgt, lang in pairs]
+    records = _records(pairs)
     rng = np.random.default_rng(seed)
-    for model in (built, pruned, quantize_fp16(built)):
-        src_ids, src_len, dec_in, _ = build_batch(vocab, records, cfg.max_positions)
-        full = full_decoder_logits_np(model, src_ids, src_len, dec_in)[:, 1:]
+    for model in _tiny_models(n_enc, n_dec, n_heads, 8 * n_heads, seed):
+        src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
+                                                  model.config.max_positions)
+        full = full_decoder_logits_np(model, src_ids, src_len, dec_in)
         stepped = _stepper_logits(model, records, beam_size, rng)
-        np.testing.assert_allclose(stepped, np.repeat(full, beam_size, axis=0),
+        want = np.stack([full[s, position] for s, position in stepped])
+        np.testing.assert_allclose(np.stack(list(stepped.values())),
+                                   np.broadcast_to(want[:, None], (len(want), beam_size,
+                                                                  want.shape[-1])),
                                    rtol=0, atol=1e-4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_enc=st.integers(1, 2), n_dec=st.integers(1, 3),
+       n_heads=st.integers(1, 2), beam_size=st.integers(1, 3),
+       seed=st.integers(0, 2**16),
+       pairs=st.lists(st.tuples(WORD, WORD, st.sampled_from(LANGS)),
+                      min_size=2, max_size=5))
+def test_stepper_rows_do_not_depend_on_the_batch(n_enc, n_dec, n_heads, beam_size,
+                                                 seed, pairs):
+    """A sample's logits are bit-identical whichever other samples share its
+    stepper, for the model as built, after layer removal and after fp16
+    storage. The subset keeps the longest source, so the padded source
+    width is the same."""
+    records = _records(pairs)
+    rng = np.random.default_rng(seed)
+    lengths = [len(r.src) for r in records]
+    longest = lengths.index(max(lengths))
+    others = [i for i in range(len(records)) if i != longest]
+    left_out = rng.choice(others, rng.integers(1, len(others) + 1), replace=False)
+    subset = sorted(set(range(len(records))) - set(left_out.tolist()))
+    for model in _tiny_models(n_enc, n_dec, n_heads, 16 * n_heads, seed):
+        whole = _stepper_logits(model, records, beam_size, rng)
+        part = _stepper_logits(model, records, beam_size, rng, samples=subset)
+        for key, got in part.items():
+            assert np.array_equal(got, whole[key]), key
