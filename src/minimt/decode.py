@@ -86,8 +86,9 @@ def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
 
 
 class _ModelStepper:
-    """Row-parallel incremental decoder over R = n_samples * beam_size rows.
-    Holds per-layer self-attention caches and precomputed cross K/V."""
+    """Row-parallel incremental decoder, starting with R = n_samples *
+    beam_size rows; reorder may drop rows. Holds per-layer self-attention
+    caches and precomputed cross K/V per row."""
 
     def __init__(self, model: TranslationModel, enc_inputs: list[list[int]],
                  tgt_langs: list[str], beam_size: int):
@@ -110,6 +111,7 @@ class _ModelStepper:
              for a in key_values(self.w, f"dec.{i}.cross", enc, h)]
             for i in layers]
         self.cross_bias = np.repeat(bias, beam_size, axis=0)
+        self.sample_of_row = np.repeat(np.arange(n), beam_size)
 
         r = n * beam_size
         empty = np.zeros((r, h, 0, self.config.d_model // h), dtype=np.float32)
@@ -124,8 +126,18 @@ class _ModelStepper:
         return self._logits
 
     def reorder(self, parent_rows: np.ndarray) -> None:
+        """New row i continues old row parent_rows[i]; unlisted rows are
+        dropped."""
+        if np.array_equal(parent_rows, np.arange(len(self.sample_of_row))):
+            return
         for cache in self.caches:
             cache[:] = [a[parent_rows] for a in cache]
+        sample_of_row = self.sample_of_row[parent_rows]
+        if not np.array_equal(sample_of_row, self.sample_of_row):
+            for kv in self.cross_kvs:
+                kv[:] = [a[parent_rows] for a in kv]
+            self.cross_bias = self.cross_bias[parent_rows]
+            self.sample_of_row = sample_of_row
 
     def advance(self, token_ids: np.ndarray, gen_index: int) -> np.ndarray:
         """Feed the tokens generated at step gen_index (decoder position
@@ -154,7 +166,11 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
                              eos_id: int, beam_size: int, max_len: int,
                              length_penalty: float = 1.0) -> list[BeamResult]:
     """Core beam loop over any stepper exposing prime_logits / reorder /
-    advance. Used by the model decoder and by table-driven test fixtures."""
+    advance. Used by the model decoder and by table-driven test fixtures.
+    The stepper holds only the rows of samples that still have an alive
+    beam: reorder(parent_rows) may shrink the batch (new row i continues old
+    row parent_rows[i]; unlisted rows are dropped), and advance takes token
+    ids for, and returns logits of, the current rows only."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
@@ -169,21 +185,23 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
     alive[:, 0] = True
     finished: list[list[tuple[tuple, float, float]]] = [[] for _ in range(n_samples)]
 
+    # row i * k + slot of the stepper is that slot of sample live[i]
+    live = np.arange(n_samples)
     logits = stepper.prime_logits()
     for g in range(max_len):
         logp = _log_softmax(logits.astype(np.float64))
-        cand = cum[:, :, None] + logp.reshape(n_samples, k, vocab_size)
-        cand[~alive] = -np.inf
+        cand = cum[live, :, None] + logp.reshape(len(live), k, vocab_size)
+        cand[~alive[live]] = -np.inf
 
         # dead slots default to row 0 of their own sample so cache gathers stay valid
-        parent_rows = np.repeat(np.arange(n_samples) * k, k)
-        next_ids = np.zeros(r, dtype=np.int64)
+        parent_rows = np.repeat(np.arange(len(live)) * k, k).reshape(len(live), k)
+        next_ids = np.zeros((len(live), k), dtype=np.int64)
         new_cum = np.full((n_samples, k), -np.inf, dtype=np.float64)
         new_alive = np.zeros((n_samples, k), dtype=bool)
         new_tokens: list[tuple[int, ...]] = [() for _ in range(r)]
 
-        for s in range(n_samples):
-            flat = cand[s].ravel()
+        for i, s in enumerate(live):
+            flat = cand[i].ravel()
             finite = np.isfinite(flat)
             n_finite = int(finite.sum())
             if n_finite == 0:
@@ -204,19 +222,20 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
                     lp = float(flat[f])
                     finished[s].append((seq, lp, _normalized(lp, len(seq), length_penalty)))
                 else:
-                    row = s * k + slot
-                    parent_rows[row] = s * k + j
-                    next_ids[row] = tok
+                    parent_rows[i, slot] = i * k + j
+                    next_ids[i, slot] = tok
                     new_cum[s, slot] = flat[f]
                     new_alive[s, slot] = True
-                    new_tokens[row] = seq
+                    new_tokens[s * k + slot] = seq
                     slot += 1
 
         cum, alive, tokens = new_cum, new_alive, new_tokens
-        if g == max_len - 1 or not alive.any():
+        keep = alive[live].any(axis=1)
+        live = live[keep]
+        if g == max_len - 1 or not len(live):
             break
-        stepper.reorder(parent_rows)
-        logits = stepper.advance(next_ids, g)
+        stepper.reorder(parent_rows[keep].ravel())
+        logits = stepper.advance(next_ids[keep].ravel(), g)
 
     results = []
     for s in range(n_samples):

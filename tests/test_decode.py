@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,26 +38,30 @@ def model():
 
 
 class TableStepper:
-    """Hand-set logits per generated prefix; for beam-vs-enumeration tests."""
+    """Hand-set logits per generated prefix; for beam-vs-enumeration tests.
+    table is shared by every sample, or a list with one table per sample.
+    advanced records the sample of each row every advance received."""
 
     def __init__(self, table, vocab_size, n_samples=1, beam_size=1, default=None):
-        self.table = table
-        self.vocab_size = vocab_size
+        self.tables = table if isinstance(table, list) else [table] * n_samples
         self.default = default if default is not None else [0.0] * vocab_size
-        self.seqs = [() for _ in range(n_samples * beam_size)]
+        self.rows = [(s, ()) for s in range(n_samples) for _ in range(beam_size)]
+        self.advanced = []
 
     def _logits(self):
-        return np.array([self.table.get(s, self.default) for s in self.seqs],
+        return np.array([self.tables[s].get(seq, self.default) for s, seq in self.rows],
                         dtype=np.float32)
 
     def prime_logits(self):
         return self._logits()
 
     def reorder(self, parent_rows):
-        self.seqs = [self.seqs[p] for p in parent_rows]
+        self.rows = [self.rows[p] for p in parent_rows]
 
     def advance(self, token_ids, gen_index):
-        self.seqs = [s + (int(t),) for s, t in zip(self.seqs, token_ids)]
+        self.advanced.append([s for s, _ in self.rows])
+        self.rows = [(s, seq + (int(t),))
+                     for (s, seq), t in zip(self.rows, token_ids, strict=True)]
         return self._logits()
 
 
@@ -128,6 +134,25 @@ class TestBeamCore:
         got = beam_search_over_stepper(stepper, 1, 3, EOS, beam_size=2, max_len=4)[0]
         assert got.finished
         assert got.tokens == ()
+
+
+    @pytest.mark.parametrize("beam_size", [1, 2, 3])
+    def test_batch_holds_only_samples_with_an_alive_beam(self, beam_size):
+        # sample s prefers tokens 0, 1, 3 until it has generated lengths[s]
+        # of them, then every beam prefers eos, so all its beams end at once
+        lengths = (2, 1, 4, 1, 3)
+        eos_row = [-9.0, -9.0, 5.0, -9.0]
+        tables = [{seq: eos_row for seq in itertools.product((0, 1, 3), repeat=n)}
+                  for n in lengths]
+        stepper = TableStepper(tables, 4, n_samples=len(lengths),
+                               beam_size=beam_size, default=[2.0, 1.5, -9.0, 1.0])
+        got = beam_search_over_stepper(stepper, len(lengths), 4, EOS, beam_size,
+                                       max_len=8)
+        assert [len(r.tokens) for r in got] == list(lengths)
+        assert all(r.finished for r in got)
+        assert stepper.advanced == [
+            [s for s, n in enumerate(lengths) if n > g for _ in range(beam_size)]
+            for g in range(max(lengths))]
 
 
 class TestModelDecode:
@@ -211,12 +236,13 @@ def _records(pairs):
             for src, tgt, lang in pairs]
 
 
-def _stepper_logits(model, records, beam_size, rng, samples=None):
+def _stepper_logits(model, records, beam_size, rng, samples=None, drop=0.0):
     """Feed a stepper over records[samples] (all of them by default) each
-    record's teacher-forced tokens. Rows of one sample are shuffled among
-    themselves between steps, which must not matter since they hold the
-    same prefix. Returns {(sample, decoder position): logits (beam, vocab)}
-    for every step each sample took part in."""
+    record's teacher-forced tokens. Between steps each sample leaves the
+    batch with probability drop (a reorder with fewer rows), and the rows of
+    one sample are shuffled among themselves, which must not matter since
+    they hold the same prefix. Returns {(sample, decoder position): logits
+    (beam, vocab)} for every step each sample took part in."""
     src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
                                               model.config.max_positions)
     live = list(range(len(records))) if samples is None else list(samples)
@@ -226,8 +252,12 @@ def _stepper_logits(model, records, beam_size, rng, samples=None):
     out = {}
     for position in range(1, dec_in.shape[1]):
         if position > 1:
-            parents = (np.repeat(np.arange(len(live)) * beam_size, beam_size)
-                       + rng.integers(0, beam_size, len(live) * beam_size))
+            stay = np.flatnonzero(rng.random(len(live)) >= drop)
+            if not len(stay):
+                break
+            parents = (np.repeat(stay * beam_size, beam_size)
+                       + rng.integers(0, beam_size, len(stay) * beam_size))
+            live = [live[j] for j in stay]
             stepper.reorder(parents)
             logits = stepper.advance(np.repeat(dec_in[live, position], beam_size),
                                      position - 2)
@@ -253,7 +283,7 @@ def test_stepper_matches_teacher_forced_logits(n_enc, n_dec, n_heads, beam_size,
         src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
                                                   model.config.max_positions)
         full = full_decoder_logits_np(model, src_ids, src_len, dec_in)
-        stepped = _stepper_logits(model, records, beam_size, rng)
+        stepped = _stepper_logits(model, records, beam_size, rng, drop=0.2)
         want = np.stack([full[s, position] for s, position in stepped])
         np.testing.assert_allclose(np.stack(list(stepped.values())),
                                    np.broadcast_to(want[:, None], (len(want), beam_size,
@@ -270,9 +300,9 @@ def test_stepper_matches_teacher_forced_logits(n_enc, n_dec, n_heads, beam_size,
 def test_stepper_rows_do_not_depend_on_the_batch(n_enc, n_dec, n_heads, beam_size,
                                                  seed, pairs):
     """A sample's logits are bit-identical whichever other samples share its
-    stepper, for the model as built, after layer removal and after fp16
-    storage. The subset keeps the longest source, so the padded source
-    width is the same."""
+    stepper, also once samples leave the batch mid-run, for the model as
+    built, after layer removal and after fp16 storage. The subset keeps the
+    longest source, so the padded source width is the same."""
     records = _records(pairs)
     rng = np.random.default_rng(seed)
     lengths = [len(r.src) for r in records]
@@ -281,7 +311,8 @@ def test_stepper_rows_do_not_depend_on_the_batch(n_enc, n_dec, n_heads, beam_siz
     left_out = rng.choice(others, rng.integers(1, len(others) + 1), replace=False)
     subset = sorted(set(range(len(records))) - set(left_out.tolist()))
     for model in _tiny_models(n_enc, n_dec, n_heads, 16 * n_heads, seed):
-        whole = _stepper_logits(model, records, beam_size, rng)
-        part = _stepper_logits(model, records, beam_size, rng, samples=subset)
-        for key, got in part.items():
-            assert np.array_equal(got, whole[key]), key
+        whole = _stepper_logits(model, records, beam_size, rng, drop=0.3)
+        part = _stepper_logits(model, records, beam_size, rng, samples=subset,
+                               drop=0.3)
+        for key in part.keys() & whole.keys():
+            assert np.array_equal(part[key], whole[key]), key
