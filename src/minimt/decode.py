@@ -42,6 +42,11 @@ class BeamResult:
     finished: bool
 
 
+class NonFiniteLogitsError(ValueError):
+    """The decoder produced a NaN or infinite logit, e.g. from a model with
+    non-finite weights."""
+
+
 def _log_softmax(x):
     m = x.max(axis=-1, keepdims=True)
     z = x - m
@@ -119,7 +124,7 @@ class _ModelStepper:
 
         # prime with the forced [tgt tag, bos] prefix (positions 0 and 1)
         tags = np.repeat([self.vocab.lang_tag(t) for t in tgt_langs], beam_size)
-        self._step(tags, 0)
+        self._states(tags, 0)
         self._logits = self._step(np.full(r, self.vocab.bos, dtype=np.int64), 1)
 
     def prime_logits(self) -> np.ndarray:
@@ -144,13 +149,19 @@ class _ModelStepper:
         2 + gen_index) and return next-token logits (R, vocab)."""
         return self._step(token_ids, 2 + gen_index)
 
+    def _states(self, ids: np.ndarray, position: int) -> np.ndarray:
+        return decoder_states(self.w, self.config, ids[:, None], None, self.cross_kvs,
+                              self.cross_bias, start=position, caches=self.caches)
+
     def _step(self, ids: np.ndarray, position: int) -> np.ndarray:
-        x = decoder_states(self.w, self.config, ids[:, None], None, self.cross_kvs,
-                           self.cross_bias, start=position, caches=self.caches)
         # (R, 1, d) @ (d, vocab) runs one gemm per row; a 2-D (R, d) gemm would
         # round a row differently depending on R, so a row's logits would
         # depend on which other rows share the batch
-        return output_logits(self.w, x)[:, 0, :]
+        logits = output_logits(self.w, self._states(ids, position))[:, 0, :]
+        if not np.isfinite(logits).all():
+            raise NonFiniteLogitsError(
+                f"non-finite decoder logits at position {position}")
+        return logits
 
 
 def _normalized(logprob: float, length: int, penalty: float) -> float:

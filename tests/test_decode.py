@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimt.decode import (
+    NonFiniteLogitsError,
     _ModelStepper,
     beam_search_over_stepper,
     forced_token_logprobs,
@@ -206,6 +207,15 @@ class TestModelDecode:
 
     def test_empty_batch(self, model):
         assert translate_batch(model, []) == []
+
+    @pytest.mark.parametrize("beam_size", [1, 3])
+    def test_non_finite_weights_raise_a_named_error(self, model, beam_size):
+        broken = model.clone()
+        broken.params["dec.0.ffn.w1"][0, 0] = np.nan
+        with pytest.raises(NonFiniteLogitsError):
+            translate_batch(broken, [("abc", "anu_Latn", "bnu_Latn"),
+                                     ("fed", "bnu_Latn", "anu_Latn")],
+                            beam_size=beam_size, max_len=8)
 
     def test_forced_logprobs_are_negative_and_finite(self, model):
         records = [FakeRecord("abc", "fed", "anu_Latn", "bnu_Latn")]
