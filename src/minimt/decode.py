@@ -211,7 +211,7 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
         new_alive = np.zeros((n_samples, k), dtype=bool)
         new_tokens: list[tuple[int, ...]] = [() for _ in range(r)]
 
-        for i, s in enumerate(live):
+        for i, s in enumerate(live.tolist()):
             flat = cand[i].ravel()
             finite = np.isfinite(flat)
             n_finite = int(finite.sum())
