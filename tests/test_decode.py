@@ -136,7 +136,6 @@ class TestBeamCore:
         assert got.finished
         assert got.tokens == ()
 
-
     @pytest.mark.parametrize("beam_size", [1, 2, 3])
     def test_batch_holds_only_samples_with_an_alive_beam(self, beam_size):
         # sample s prefers tokens 0, 1, 3 until it has generated lengths[s]
@@ -294,10 +293,9 @@ def test_stepper_matches_teacher_forced_logits(n_enc, n_dec, n_heads, beam_size,
                                                   model.config.max_positions)
         full = full_decoder_logits_np(model, src_ids, src_len, dec_in)
         stepped = _stepper_logits(model, records, beam_size, rng, drop=0.2)
-        want = np.stack([full[s, position] for s, position in stepped])
-        np.testing.assert_allclose(np.stack(list(stepped.values())),
-                                   np.broadcast_to(want[:, None], (len(want), beam_size,
-                                                                  want.shape[-1])),
+        got = np.stack(list(stepped.values()))
+        want = np.stack([full[s, position] for s, position in stepped])[:, None]
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
                                    rtol=0, atol=1e-4)
 
 
