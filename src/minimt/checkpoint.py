@@ -9,7 +9,7 @@ Layout (all little-endian):
 
 The header carries config, vocab, precision, metadata, and a tensor index of
 {name, dtype, shape, offset, nbytes} with offsets relative to the payload
-start. Saving is atomic (temp file + rename) and byte-deterministic.
+start. Saving is atomic (reports.publish) and byte-deterministic.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 from dataclasses import asdict
 
 import numpy as np
 
 from .model import ModelConfig, TranslationModel
+from .reports import publish
 from .vocab import Vocab
 
 MAGIC = b"MMTC"
@@ -89,19 +89,7 @@ def checkpoint_bytes(model: TranslationModel) -> bytes:
 
 
 def save_checkpoint(model: TranslationModel, path) -> str:
-    path = os.fspath(path)
-    data = checkpoint_bytes(model)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return publish({path: checkpoint_bytes(model)})[0]
 
 
 def load_checkpoint(path) -> TranslationModel:
@@ -110,7 +98,9 @@ def load_checkpoint(path) -> TranslationModel:
     return model_from_bytes(blob)
 
 
-def model_from_bytes(blob: bytes) -> TranslationModel:
+def _read_header(blob: bytes) -> tuple[dict, int]:
+    """Check the prefix and parse the header JSON; returns the header and
+    the byte offset where the tensor payload starts."""
     if blob[:4] != MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}", byte_offset=0)
     if len(blob) < 16:
@@ -126,7 +116,11 @@ def model_from_bytes(blob: bytes) -> TranslationModel:
         header = json.loads(blob[16:header_end].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt header JSON: {e}", byte_offset=16) from None
+    return header, header_end
 
+
+def model_from_bytes(blob: bytes) -> TranslationModel:
+    header, header_end = _read_header(blob)
     config = ModelConfig(**header["config"])
     vocab = _vocab_from_json(header["vocab"])
     params: dict[str, np.ndarray] = {}
@@ -149,7 +143,5 @@ def model_from_bytes(blob: bytes) -> TranslationModel:
 def parameter_payload_bytes(path) -> int:
     """Total tensor payload size recorded in a checkpoint's index."""
     with open(os.fspath(path), "rb") as f:
-        blob = f.read(16)
-        (header_len,) = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(f.read(header_len).decode())
+        header, _ = _read_header(f.read())
     return sum(entry["nbytes"] for entry in header["tensors"])

@@ -3,7 +3,7 @@
 Every subcommand reads an optional JSON config (fields overridable with
 repeated --set dotted.path=value flags), validates it before touching any
 output, runs the corresponding pipeline, and publishes its artifacts plus a
-RunManifest all-or-nothing (staged temp files, renamed together). Exit codes:
+RunManifest all-or-nothing through reports.publish. Exit codes:
 0 success, 2 usage/config error, 3 runtime failure; failures print a JSON
 error record to stderr.
 
@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .bench import DecodeConfig, bench_throughput
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_bytes, load_checkpoint
 from .compress import (
     DistillConfig,
     PruneConfig,
@@ -30,7 +30,7 @@ from .compress import (
     iterative_prune,
     middle_prune,
 )
-from .corpus import SplitSpec, read_corpus, write_corpus
+from .corpus import SplitSpec, corpus_jsonl, read_corpus
 from .filtering import (
     FilterConfig,
     ForcedLogProbQualityScorer,
@@ -43,11 +43,10 @@ from .langid import train_langid
 from .metrics import evaluate_direction
 from .model import ModelConfig, init_model, quantize_fp16
 from .reports import (
-    ArtifactSet,
     EvalReport,
     RunManifest,
-    atomic_write_text,
     emit_report,
+    publish,
     quality_efficiency_csv,
 )
 from .rng import Rng
@@ -129,6 +128,14 @@ def _manifest(command: str, cfg: dict, seed) -> RunManifest:
                        toolkit_version=__version__)
 
 
+def _publish(manifest: RunManifest, manifest_path: str, files: dict):
+    """Record each output's hash in the manifest, then publish the outputs
+    and the manifest together."""
+    for path, data in files.items():
+        manifest.add_output(path, data)
+    publish({**files, manifest_path: manifest.to_json()})
+
+
 def _read(path):
     records, report = read_corpus(path)
     if report.n_malformed:
@@ -160,25 +167,17 @@ def cmd_gen_data(args) -> int:
     seeds = langid_seed_corpus(spec, int(cfg.get("langid_seed_size", 80)), seed)
     manifest.timings["wall_seconds"] = time.monotonic() - t0
 
-    with ArtifactSet() as artifacts:
-        for split in ("train", "dev", "devtest"):
-            path = os.path.join(args.out_dir, f"{split}.jsonl")
-            tmp = artifacts.stage(path, lambda t, s=split: write_corpus(
-                getattr(corpus, s), t))
-            manifest.add_output(path, content_path=tmp)
-        flags_path = os.path.join(args.out_dir, "train_flags.jsonl")
-        # ground-truth noise flags, sidecar only (never read by the pipeline)
-        tmp = artifacts.stage_text(flags_path, "".join(
-            json.dumps({"index": i, "flags": sorted(r.flags)}) + "\n"
-            for i, r in enumerate(corpus.train) if r.flags))
-        manifest.add_output(flags_path, content_path=tmp)
-        seed_path = os.path.join(args.out_dir, "langid_seed.jsonl")
-        tmp = artifacts.stage_text(seed_path, "".join(
-            json.dumps({"lang": lang, "text": s}) + "\n"
-            for lang in sorted(seeds) for s in seeds[lang]))
-        manifest.add_output(seed_path, content_path=tmp)
-        artifacts.stage_text(os.path.join(args.out_dir, "manifest.json"),
-                             manifest.to_json())
+    files = {os.path.join(args.out_dir, f"{split}.jsonl"):
+             corpus_jsonl(getattr(corpus, split))
+             for split in ("train", "dev", "devtest")}
+    # ground-truth noise flags, sidecar only (never read by the pipeline)
+    files[os.path.join(args.out_dir, "train_flags.jsonl")] = "".join(
+        json.dumps({"index": i, "flags": sorted(r.flags)}) + "\n"
+        for i, r in enumerate(corpus.train) if r.flags)
+    files[os.path.join(args.out_dir, "langid_seed.jsonl")] = "".join(
+        json.dumps({"lang": lang, "text": s}) + "\n"
+        for lang in sorted(seeds) for s in seeds[lang])
+    _publish(manifest, os.path.join(args.out_dir, "manifest.json"), files)
     return EXIT_OK
 
 
@@ -231,12 +230,10 @@ def cmd_filter(args) -> int:
     manifest.timings["wall_seconds"] = time.monotonic() - t0
 
     report_path = args.report or args.out + ".filter_report.json"
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage(args.out, lambda t: write_corpus(kept, t))
-        manifest.add_output(args.out, content_path=tmp)
-        tmp = artifacts.stage_text(report_path, report.to_json())
-        manifest.add_output(report_path, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json", {
+        args.out: corpus_jsonl(kept),
+        report_path: report.to_json(),
+    })
     return EXIT_OK
 
 
@@ -272,13 +269,10 @@ def cmd_train(args) -> int:
                          "dev_loss": e.dev_loss, "improved": e.improved}
                         for e in log.entries],
     }, indent=2)
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage(args.out, lambda t: save_checkpoint(best, t))
-        manifest.add_output(args.out, content_path=tmp)
-        log_path = args.out + ".train_log.json"
-        tmp = artifacts.stage_text(log_path, log_text)
-        manifest.add_output(log_path, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json", {
+        args.out: checkpoint_bytes(best),
+        args.out + ".train_log.json": log_text,
+    })
     return EXIT_OK
 
 
@@ -296,10 +290,8 @@ def cmd_distill(args) -> int:
     kd = distill(teacher, authentic, dc, authentic)
     manifest.timings["wall_seconds"] = time.monotonic() - t0
 
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage(args.out, lambda t: write_corpus(kd, t))
-        manifest.add_output(args.out, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json",
+             {args.out: corpus_jsonl(kd)})
     return EXIT_OK
 
 
@@ -335,12 +327,10 @@ def cmd_prune(args) -> int:
 
     pruned.metadata.update({"stage": "pruned", "parent": model.fingerprint()})
     report_path = args.report or args.out + ".prune_report.json"
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage(args.out, lambda t: save_checkpoint(pruned, t))
-        manifest.add_output(args.out, content_path=tmp)
-        tmp = artifacts.stage_text(report_path, report.to_json())
-        manifest.add_output(report_path, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json", {
+        args.out: checkpoint_bytes(pruned),
+        report_path: report.to_json(),
+    })
     return EXIT_OK
 
 
@@ -350,10 +340,8 @@ def cmd_quantize(args) -> int:
     manifest.add_input(args.ckpt)
     q = quantize_fp16(model)
     q.metadata.update({"stage": "fp16", "parent": model.fingerprint()})
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage(args.out, lambda t: save_checkpoint(q, t))
-        manifest.add_output(args.out, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json",
+             {args.out: checkpoint_bytes(q)})
     return EXIT_OK
 
 
@@ -383,13 +371,10 @@ def cmd_evaluate(args) -> int:
         report.rows.append(evaluate_direction(model, groups[direction], dc))
     manifest.timings["wall_seconds"] = time.monotonic() - t0
 
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage_text(args.out, report.to_json())
-        manifest.add_output(args.out, content_path=tmp)
-        if args.csv:
-            tmp = artifacts.stage_text(args.csv, report.to_csv())
-            manifest.add_output(args.csv, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    files = {args.out: report.to_json()}
+    if args.csv:
+        files[args.csv] = report.to_csv()
+    _publish(manifest, args.out + ".manifest.json", files)
     return EXIT_OK
 
 
@@ -427,10 +412,7 @@ def cmd_bench(args) -> int:
         "median_tokens_per_second": statistics.median(
             r.tokens_per_second for r in runs),
     }, indent=2, sort_keys=True)
-    with ArtifactSet() as artifacts:
-        tmp = artifacts.stage_text(args.out, bench_text)
-        manifest.add_output(args.out, content_path=tmp)
-        artifacts.stage_text(args.out + ".manifest.json", manifest.to_json())
+    _publish(manifest, args.out + ".manifest.json", {args.out: bench_text})
     return EXIT_OK
 
 
@@ -442,7 +424,7 @@ def cmd_report(args) -> int:
         for path in args.infile:
             label = os.path.splitext(os.path.basename(path))[0]
             labeled.append((label, EvalReport.from_json(open(path).read())))
-        atomic_write_text(args.out, quality_efficiency_csv(labeled))
+        publish({args.out: quality_efficiency_csv(labeled)})
         return EXIT_OK
 
     if len(args.infile) != 1:

@@ -11,6 +11,7 @@ index). With sides="encoder+decoder" the removal budget n applies per side.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -21,6 +22,7 @@ from .decode import translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_pp
 from .model import DECODER, ENCODER, TranslationModel, quantize_fp16, remove_layers
+from .reports import publish
 from .training import TrainConfig, train
 
 SIDES_DECODER = "decoder"
@@ -88,6 +90,22 @@ class PruneReport:
             "final_fingerprint": self.final_fingerprint,
             "notes": self.notes,
         }, indent=2, sort_keys=True)
+
+    def to_csv(self) -> str:
+        out = io.StringIO()
+        out.write("iteration,side,layer_id,chrf,chosen\n")
+        for it in self.iterations:
+            chosen = it.chosen or {}
+            for c in it.candidates:
+                is_chosen = (c["side"] == chosen.get("side")
+                             and c["layer_id"] == chosen.get("layer_id"))
+                out.write(f"{it.index},{c['side']},{c['layer_id']},"
+                          f"{float(c['chrf']):.6g},{int(is_chosen)}\n")
+            if not it.candidates:
+                for side, ids in sorted(it.removed.items()):
+                    for lid in ids:
+                        out.write(f"{it.index},{side},{lid},,1\n")
+        return out.getvalue()
 
     @classmethod
     def from_json(cls, text: str) -> "PruneReport":
@@ -374,8 +392,7 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
     else:
         pruned, prune_report = middle_prune(stage1, prune_cfg)
     report_path = os.path.join(out_dir, "prune_report.json")
-    with open(report_path, "w") as f:
-        f.write(prune_report.to_json())
+    publish({report_path: prune_report.to_json()})
     paths["prune_report"] = report_path
     fp2 = emit("stage2-pruned", pruned, fp1, {"strategy": prune_cfg.strategy})
 
@@ -394,8 +411,8 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
         emit("stage4-fp16", quantized, fp3)
 
     manifest_path = os.path.join(out_dir, "pipeline_manifest.json")
-    with open(manifest_path, "w") as f:
-        json.dump({"stages": manifest_stages}, f, indent=2, sort_keys=True)
+    publish({manifest_path: json.dumps({"stages": manifest_stages},
+                                       indent=2, sort_keys=True)})
 
     return PipelineResult(stage1=stage1, pruned=pruned, stage3=stage3,
                           quantized=quantized, prune_report=prune_report,

@@ -9,13 +9,12 @@ never serialized.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
-import tempfile
 import unicodedata
 from dataclasses import dataclass, field, replace
 
+from .reports import publish
 from .rng import Rng
 from .vocab import validate_lang_code
 
@@ -155,24 +154,14 @@ def record_to_json(record: ParallelRecord) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True)
 
 
+def corpus_jsonl(records) -> str:
+    """Canonical JSONL: one record_to_json line per record."""
+    return "".join(record_to_json(r) + "\n" for r in records)
+
+
 def write_corpus(records, path) -> str:
     """Canonical JSONL, atomically written."""
-    path = os.fspath(path)
-    buf = io.StringIO()
-    for r in records:
-        buf.write(record_to_json(r))
-        buf.write("\n")
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".corpus-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+    return publish({path: corpus_jsonl(records)})[0]
 
 
 def reverse_directions(records) -> list[ParallelRecord]:

@@ -1,4 +1,5 @@
-"""Evaluation reports, run manifests, and JSON/CSV emission.
+"""Evaluation reports, run manifests, JSON/CSV emission, and publish, the
+one writer through which every artifact reaches disk.
 
 JSON is the lossless canonical form; CSV serializes numbers with 6
 significant digits and has a documented, stable column order. The COMET
@@ -7,15 +8,13 @@ column is structurally absent from EvalRow; comet_note records why.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-
-from .compress import PruneReport
-from .filtering import FilterReport
 
 EVAL_CSV_COLUMNS = [
     "kind", "direction", "model_id", "bleu", "chrf_pp",
@@ -122,125 +121,49 @@ def quality_efficiency_csv(labeled_reports) -> str:
     return out.getvalue()
 
 
-def _prune_report_csv(report: PruneReport) -> str:
-    out = io.StringIO()
-    out.write("iteration,side,layer_id,chrf,chosen\n")
-    for it in report.iterations:
-        chosen = it.chosen or {}
-        for c in it.candidates:
-            is_chosen = (c["side"] == chosen.get("side")
-                         and c["layer_id"] == chosen.get("layer_id"))
-            out.write(f"{it.index},{c['side']},{c['layer_id']},"
-                      f"{_g6(c['chrf'])},{int(is_chosen)}\n")
-        if not it.candidates:
-            for side, ids in sorted(it.removed.items()):
-                for lid in ids:
-                    out.write(f"{it.index},{side},{lid},,1\n")
-    return out.getvalue()
+def publish(files: dict) -> list[str]:
+    """Write a {path: bytes | str} set of files; str is encoded as UTF-8.
 
-
-def _filter_report_csv(report: FilterReport) -> str:
-    out = io.StringIO()
-    out.write("stage,n_in,n_kept,n_dropped,modified,drop_reasons\n")
-    for s in report.stages:
-        reasons = ";".join(f"{k}={v}" for k, v in sorted(s.drop_reasons.items()))
-        out.write(f"{s.stage},{s.n_in},{s.n_kept},"
-                  f"{sum(s.drop_reasons.values())},{s.modified},{reasons}\n")
-    return out.getvalue()
-
-
-def atomic_write_text(path, text: str) -> str:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    Every file is written to a temporary sibling first (missing parent
+    directories are created) and the temporaries are renamed into place only
+    once all of them are written, so a failed write publishes nothing. On any
+    failure every temporary not yet renamed is removed. Returns the paths in
+    the order given."""
+    staged: list[tuple[str, str]] = []  # (tmp, final)
+    renamed = 0
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            path = os.fspath(path)
+            directory = os.path.dirname(path) or "."
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staged-")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "wb") as f:
+                f.write(_as_bytes(data))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            renamed += 1
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged[renamed:]:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
-    return path
+    return [path for _, path in staged]
 
 
-class ArtifactSet:
-    """All-or-nothing artifact publication: every output is written to a
-    temporary sibling first and renamed into place only when the whole set is
-    ready, so a failing run leaves nothing at the declared paths."""
-
-    def __init__(self):
-        self._staged: list[tuple[str, str]] = []  # (tmp, final)
-
-    def stage(self, final_path, write_fn) -> str:
-        """write_fn(tmp_path) must create the file at tmp_path. Returns the
-        temporary path so callers can hash the pending content."""
-        final_path = os.fspath(final_path)
-        directory = os.path.dirname(final_path) or "."
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staged-")
-        os.close(fd)
-        try:
-            write_fn(tmp)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        self._staged.append((tmp, final_path))
-        return tmp
-
-    def stage_text(self, final_path, text: str) -> str:
-        return self.stage(final_path,
-                          lambda tmp: atomic_write_text(tmp, text))
-
-    def commit(self) -> list[str]:
-        published = []
-        for tmp, final in self._staged:
-            os.replace(tmp, final)
-            published.append(final)
-        self._staged.clear()
-        return published
-
-    def abort(self):
-        for tmp, _ in self._staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        self._staged.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
-        return False
+def _as_bytes(data) -> bytes:
+    return data.encode() if isinstance(data, str) else data
 
 
 def emit_report(report, format: str, path) -> str:
     """Write an EvalReport / PruneReport / FilterReport as json or csv."""
     if format == "json":
-        if isinstance(report, EvalReport):
-            text = report.to_json()
-        elif isinstance(report, PruneReport):
-            text = report.to_json()
-        elif isinstance(report, FilterReport):
-            text = report.to_json()
-        else:
-            raise TypeError(f"cannot emit report of type {type(report).__name__}")
+        text = report.to_json()
     elif format == "csv":
-        if isinstance(report, EvalReport):
-            text = report.to_csv()
-        elif isinstance(report, PruneReport):
-            text = _prune_report_csv(report)
-        elif isinstance(report, FilterReport):
-            text = _filter_report_csv(report)
-        else:
-            raise TypeError(f"cannot emit report of type {type(report).__name__}")
+        text = report.to_csv()
     else:
         raise ValueError(f"unknown report format {format!r}")
-    return atomic_write_text(path, text)
+    return publish({path: text})[0]
 
 
 def sha256_file(path) -> str:
@@ -274,10 +197,10 @@ class RunManifest:
     def add_input(self, path):
         self.inputs[os.fspath(path)] = sha256_file(path)
 
-    def add_output(self, path, content_path=None):
-        """Record an output path; content_path lets staged (not yet renamed)
-        files be hashed under their final name."""
-        self.outputs[os.fspath(path)] = sha256_file(content_path or path)
+    def add_output(self, path, data):
+        """Record an output path with the sha256 of the bytes (or UTF-8
+        text) to be published there."""
+        self.outputs[os.fspath(path)] = hashlib.sha256(_as_bytes(data)).hexdigest()
 
     def to_json(self) -> str:
         obj = {
@@ -293,4 +216,4 @@ class RunManifest:
         return json.dumps(obj, indent=2, sort_keys=True)
 
     def write(self, path) -> str:
-        return atomic_write_text(path, self.to_json())
+        return publish({path: self.to_json()})[0]

@@ -72,6 +72,17 @@ def test_magic_mismatch(tmp_path):
     assert e.value.byte_offset == 0
 
 
+@pytest.mark.parametrize("cut", ["3 bytes", "prefix", "header", "bad magic"])
+def test_payload_size_of_a_damaged_file_is_a_checkpoint_error(model, tmp_path, cut):
+    blob = checkpoint_bytes(model)
+    damaged = {"3 bytes": blob[:3], "prefix": blob[:10], "header": blob[:40],
+               "bad magic": b"NOPE" + blob[4:]}[cut]
+    p = tmp_path / "damaged.ckpt"
+    p.write_bytes(damaged)
+    with pytest.raises(CheckpointError):
+        parameter_payload_bytes(p)
+
+
 def test_unknown_version(model, tmp_path):
     blob = bytearray(checkpoint_bytes(model))
     blob[4:8] = (99).to_bytes(4, "little")

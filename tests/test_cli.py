@@ -118,6 +118,17 @@ class TestPruneQuantize:
         report = json.loads((tmp_path / "eight.ckpt.prune_report.json").read_text())
         assert report["iterations"][0]["removed"] == {"decoder": [4, 5, 6, 7]}
 
+    def test_unwritable_report_publishes_nothing(self, tiny_ckpt, data_dir, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        out = tmp_path / "pruned.ckpt"
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
+                   str(data_dir / "dev.jsonl"), "--out", str(out),
+                   "--report", str(blocker / "report.json"),
+                   "--strategy", "middle", "--n", "1"])
+        assert rc == EXIT_RUNTIME
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
+
     def test_quantize_cli(self, tiny_ckpt, tmp_path):
         out = tmp_path / "fp16.ckpt"
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(out)])

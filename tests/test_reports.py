@@ -11,7 +11,9 @@ from minimt.reports import (
     EvalRow,
     RunManifest,
     emit_report,
+    publish,
     quality_efficiency_csv,
+    sha256_file,
 )
 
 
@@ -103,30 +105,34 @@ class TestRunManifest:
         out = tmp_path / "out.txt"
         out.write_text("payload")
         m = RunManifest(command="x", config={}, seed=None, toolkit_version="0.1.0")
-        m.add_output(out)
+        m.add_output(out, "payload")
         path = m.write(tmp_path / "manifest.json")
         obj = json.loads(open(path).read())
-        assert obj["outputs"][str(out)]
+        assert obj["outputs"][str(out)] == sha256_file(out)
         assert obj["run_id"] == m.run_id
 
 
-class TestArtifactSet:
-    def test_commit_publishes_everything(self, tmp_path):
-        from minimt.reports import ArtifactSet
-
-        with ArtifactSet() as artifacts:
-            artifacts.stage_text(tmp_path / "a.txt", "alpha")
-            artifacts.stage_text(tmp_path / "sub" / "b.txt", "beta")
-            assert not (tmp_path / "a.txt").exists()  # nothing visible yet
-        assert (tmp_path / "a.txt").read_text() == "alpha"
-        assert (tmp_path / "sub" / "b.txt").read_text() == "beta"
+class TestPublish:
+    def test_publishes_everything(self, tmp_path):
+        paths = publish({tmp_path / "a.txt": "alpha \u00e9",
+                         tmp_path / "sub" / "b.bin": b"\x00beta"})
+        assert paths == [str(tmp_path / "a.txt"), str(tmp_path / "sub" / "b.bin")]
+        assert (tmp_path / "a.txt").read_bytes() == "alpha \u00e9".encode("utf-8")
+        assert (tmp_path / "sub" / "b.bin").read_bytes() == b"\x00beta"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "b.bin", "sub"]
 
     def test_failure_leaves_no_partial_outputs(self, tmp_path):
-        from minimt.reports import ArtifactSet
+        (tmp_path / "blocker").write_text("")
+        with pytest.raises(OSError):
+            publish({tmp_path / "a.txt": "alpha",
+                     tmp_path / "blocker" / "b.txt": "beta"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
-        with pytest.raises(RuntimeError):
-            with ArtifactSet() as artifacts:
-                artifacts.stage_text(tmp_path / "a.txt", "alpha")
-                raise RuntimeError("boom")
-        assert not (tmp_path / "a.txt").exists()
-        assert not any(p.name.startswith(".staged-") for p in tmp_path.iterdir())
+    def test_failed_rename_leaves_no_temp_files(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "taken" / "keep").write_text("")
+        with pytest.raises(OSError):
+            publish({tmp_path / "a.txt": "alpha", tmp_path / "taken": "beta",
+                     tmp_path / "c.txt": "gamma"})
+        assert not (tmp_path / "c.txt").exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "keep", "taken"]
