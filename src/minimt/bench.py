@@ -68,6 +68,13 @@ class DecodeRun:
     total_seconds: float
     n_batches: int
 
+    @property
+    def tokens_per_second(self) -> float:
+        """Output tokens per timed second; 0 when no time passed."""
+        if self.timed_seconds <= 0:
+            return 0.0
+        return self.output_tokens / self.timed_seconds
+
 
 def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
                   clock=None) -> DecodeRun:
@@ -119,11 +126,8 @@ def bench_throughput(model, testset, cfg: DecodeConfig,
         raise ValueError("empty testset")
     run = decode_corpus(model, testset, cfg, warmup_batches=warmup_batches,
                         clock=clock)
-    tput = run.output_tokens / run.timed_seconds if run.timed_seconds > 0 else 0.0
-    if run.output_tokens == 0:
-        tput = 0.0
     return BenchResult(
-        tokens_per_second=tput,
+        tokens_per_second=run.tokens_per_second,
         timed_seconds=run.timed_seconds,
         total_seconds=run.total_seconds,
         output_tokens=run.output_tokens,

@@ -23,7 +23,6 @@ class ChrfConfig:
     char_ngram_max: int = 6
     word_ngram_max: int = 2
     beta: float = 2.0
-    whitespace_stripped_for_char_ngrams: bool = True
 
     def __post_init__(self):
         if self.char_ngram_max < 1 or self.word_ngram_max < 1:
@@ -45,7 +44,6 @@ class BleuConfig:
 
     max_ngram: int = 4
     smoothing: str = "exponential"  # "exponential" | "none"
-    tokenizer: str = "punct-split"
 
     def __post_init__(self):
         if self.max_ngram < 1:
@@ -121,10 +119,7 @@ def chrf_pp(hypotheses: list[str], references: list[str],
     match_tot = [0] * n_orders
 
     for hyp, ref in zip(hypotheses, references):
-        if cfg.whitespace_stripped_for_char_ngrams:
-            hyp_chars, ref_chars = _strip_ws(hyp), _strip_ws(ref)
-        else:
-            hyp_chars, ref_chars = hyp, ref
+        hyp_chars, ref_chars = _strip_ws(hyp), _strip_ws(ref)
         hyp_words = tokenize_for_bleu(hyp)
         ref_words = tokenize_for_bleu(ref)
         for n in range(1, cfg.char_ngram_max + 1):
@@ -233,13 +228,12 @@ def evaluate_direction(model, testset, decode_cfg, clock=None):
     refs = [r.tgt for r in testset]
     b = bleu(run.hypotheses, refs)
     c = chrf_pp(run.hypotheses, refs)
-    tput = run.output_tokens / run.timed_seconds if run.timed_seconds > 0 else 0.0
     return EvalRow(
         direction=f"{src_lang}-{tgt_lang}",
         model_id=model.model_id(),
         bleu=b.value,
         chrf_pp=c.value,
-        throughput_tokens_per_sec=tput,
+        throughput_tokens_per_sec=run.tokens_per_second,
         total_seconds=run.total_seconds,
         output_tokens=run.output_tokens,
         beam_size=decode_cfg.beam_size,
