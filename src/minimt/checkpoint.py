@@ -121,23 +121,27 @@ def _read_header(blob: bytes) -> tuple[dict, int]:
 
 def model_from_bytes(blob: bytes) -> TranslationModel:
     header, header_end = _read_header(blob)
-    config = ModelConfig(**header["config"])
-    vocab = _vocab_from_json(header["vocab"])
-    params: dict[str, np.ndarray] = {}
     payload = blob[header_end:]
-    for entry in header["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(
-                f"truncated payload for tensor {entry['name']!r}",
-                byte_offset=header_end + min(start, len(payload)),
-            )
-        dtype = _CODE_DTYPE[entry["dtype"]]
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype)
-        arr = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
-        params[entry["name"]] = arr
-    return TranslationModel(config, vocab, params, header["precision"],
-                            header.get("metadata", {}))
+    try:
+        config = ModelConfig(**header["config"])
+        vocab = _vocab_from_json(header["vocab"])
+        params: dict[str, np.ndarray] = {}
+        for entry in header["tensors"]:
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if start + nbytes > len(payload):
+                raise CheckpointError(
+                    f"truncated payload for tensor {entry['name']!r}",
+                    byte_offset=header_end + min(start, len(payload)),
+                )
+            dtype = _CODE_DTYPE[entry["dtype"]]
+            arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype)
+            arr = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
+            params[entry["name"]] = arr
+        return TranslationModel(config, vocab, params, header["precision"],
+                                header.get("metadata", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed header: {type(e).__name__}: {e}",
+                              byte_offset=16) from None
 
 
 def parameter_payload_bytes(path) -> int:

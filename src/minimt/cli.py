@@ -26,6 +26,7 @@ from .checkpoint import checkpoint_bytes, load_checkpoint
 from .compress import (
     DistillConfig,
     PruneConfig,
+    PruneReport,
     distill,
     iterative_prune,
     middle_prune,
@@ -423,19 +424,19 @@ def cmd_report(args) -> int:
         labeled = []
         for path in args.infile:
             label = os.path.splitext(os.path.basename(path))[0]
-            labeled.append((label, EvalReport.from_json(open(path).read())))
+            with open(path) as f:
+                labeled.append((label, EvalReport.from_json(f.read())))
         publish({args.out: quality_efficiency_csv(labeled)})
         return EXIT_OK
 
     if len(args.infile) != 1:
         raise ConfigError("report conversion expects exactly one --in file")
-    text = open(args.infile[0]).read()
+    with open(args.infile[0]) as f:
+        text = f.read()
     obj = json.loads(text)
     if "rows" in obj:
         report = EvalReport.from_json(text)
     elif "strategy" in obj:
-        from .compress import PruneReport
-
         report = PruneReport.from_json(text)
     else:
         raise ConfigError("unrecognized report JSON shape")

@@ -280,8 +280,6 @@ class DistillConfig:
     max_len: int = 64
     per_direction_cap: int | None = None
     refilter: bool = True
-    kd_stage1: bool = True
-    kd_stage3: bool = True
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -340,7 +338,7 @@ class PipelineResult:
     stage1: TranslationModel
     pruned: TranslationModel
     stage3: TranslationModel
-    quantized: TranslationModel | None
+    quantized: TranslationModel
     prune_report: PruneReport
     paths: dict
     manifest_path: str
@@ -352,11 +350,11 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
                              distill_cfg: DistillConfig | None = None,
                              teacher: TranslationModel | None = None,
                              filter_cfg: FilterConfig | None = None,
-                             scorers: ScorerSet | None = None,
-                             quantize: bool = True,
-                             stage3_cfg: TrainConfig | None = None) -> PipelineResult:
-    """fine-tune -> prune -> 1-epoch fine-tune -> optional fp16, with one
-    checkpoint and a parent link per stage."""
+                             scorers: ScorerSet | None = None) -> PipelineResult:
+    """fine-tune -> prune -> 1-epoch fine-tune -> fp16, with one checkpoint
+    and a parent link per stage. Given a teacher and a DistillConfig, both
+    fine-tunes train on one distilled corpus (pruning keeps the vocabulary,
+    so the teacher decodes the training sources once)."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     manifest_stages = []
@@ -379,11 +377,11 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
 
     base_fp = baseline.fingerprint()
 
-    stage1_data = train_records
-    if teacher is not None and distill_cfg is not None and distill_cfg.kd_stage1:
-        stage1_data = distill(teacher, train_records, distill_cfg, train_records,
-                              filter_cfg, scorers, student_vocab=baseline.vocab)
-    stage1, log1 = train(baseline, stage1_data, dev_records, train_cfg)
+    data = train_records
+    if teacher is not None and distill_cfg is not None:
+        data = distill(teacher, train_records, distill_cfg, train_records,
+                       filter_cfg, scorers, student_vocab=baseline.vocab)
+    stage1, log1 = train(baseline, data, dev_records, train_cfg)
     fp1 = emit("stage1-finetuned", stage1, base_fp,
                {"train_steps": log1.optimizer_steps, "stop": log1.stop_reason})
 
@@ -396,19 +394,13 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
     paths["prune_report"] = report_path
     fp2 = emit("stage2-pruned", pruned, fp1, {"strategy": prune_cfg.strategy})
 
-    stage3_data = train_records
-    if teacher is not None and distill_cfg is not None and distill_cfg.kd_stage3:
-        stage3_data = distill(teacher, train_records, distill_cfg, train_records,
-                              filter_cfg, scorers, student_vocab=pruned.vocab)
-    cfg3 = stage3_cfg or replace(train_cfg, max_epochs=1)
-    stage3, log3 = train(pruned, stage3_data, dev_records, cfg3)
+    cfg3 = replace(train_cfg, max_epochs=1)
+    stage3, log3 = train(pruned, data, dev_records, cfg3)
     fp3 = emit("stage3-finetuned", stage3, fp2,
                {"train_steps": log3.optimizer_steps, "epochs": cfg3.max_epochs})
 
-    quantized = None
-    if quantize:
-        quantized = quantize_fp16(stage3)
-        emit("stage4-fp16", quantized, fp3)
+    quantized = quantize_fp16(stage3)
+    emit("stage4-fp16", quantized, fp3)
 
     manifest_path = os.path.join(out_dir, "pipeline_manifest.json")
     publish({manifest_path: json.dumps({"stages": manifest_stages},

@@ -53,10 +53,9 @@ def _log_softmax(x):
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def encode_np(model_or_w, config, src_ids, src_len):
-    """(enc (N,Ts,d), src pad bias (N,1,1,Ts)); model_or_w is a model or its
+def encode_np(w, config, src_ids, src_len):
+    """(enc (N,Ts,d), src pad bias (N,1,1,Ts)) from a model's
     compute_params."""
-    w = model_or_w if isinstance(model_or_w, dict) else compute_params(model_or_w)
     bias = pad_bias(src_len, src_ids.shape[1])
     return encode_batch(w, config, src_ids, bias), bias
 

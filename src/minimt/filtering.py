@@ -219,9 +219,6 @@ class PivotTranslationEmbedder:
                 pivot_texts[i] = detokenize(r.tokens, self.model.vocab)
         return [self._profile(t) for t in pivot_texts]
 
-    def embed(self, text: str, lang: str) -> np.ndarray:
-        return self.embed_batch([text], [lang])[0]
-
 
 class ForcedLogProbQualityScorer:
     """Reference-free quality score: the model's length-normalized forced
@@ -242,16 +239,17 @@ class ForcedLogProbQualityScorer:
         from .decode import forced_token_logprobs
 
         lp = forced_token_logprobs(self.model, records)
-        return [_check_score(1.0 / (1.0 + np.exp(-(v - self.midpoint) / self.scale)),
-                             self.name) for v in lp]
+        return [1.0 / (1.0 + np.exp(-(v - self.midpoint) / self.scale)) for v in lp]
 
-    def score(self, record) -> float:
-        return self.score_batch([record])[0]
+
+CLOSE_TIMEOUT_S = 10.0
 
 
 class SubprocessScorer:
     """External scorer over a line protocol: one JSON record per line in, one
-    decimal score in [0, 1] per line out, strict one-in-one-out ordering."""
+    decimal score in [0, 1] per line out, strict one-in-one-out ordering.
+    Each record is written and its score read before the next is written, so
+    neither pipe can fill up and deadlock the two processes."""
 
     def __init__(self, command: list[str], name: str = "subprocess"):
         self.name = name
@@ -262,23 +260,34 @@ class SubprocessScorer:
     def supports(self, src_lang: str, tgt_lang: str) -> bool:
         return True
 
-    def score(self, record) -> float:
-        payload = json.dumps({
-            "src_lang": record.src_lang, "tgt_lang": record.tgt_lang,
-            "src": record.src, "tgt": record.tgt, "origin": record.origin,
-        }, ensure_ascii=False)
+    def score_batch(self, records) -> list[float]:
         assert self._proc.stdin and self._proc.stdout
-        self._proc.stdin.write(payload + "\n")
-        self._proc.stdin.flush()
-        line = self._proc.stdout.readline()
-        if not line:
-            raise RuntimeError(f"{self.name}: scorer process closed its output")
-        return _check_score(float(line.strip()), self.name)
+        scores = []
+        for record in records:
+            payload = json.dumps({
+                "src_lang": record.src_lang, "tgt_lang": record.tgt_lang,
+                "src": record.src, "tgt": record.tgt, "origin": record.origin,
+            }, ensure_ascii=False)
+            self._proc.stdin.write(payload + "\n")
+            self._proc.stdin.flush()
+            line = self._proc.stdout.readline()
+            if not line:
+                raise RuntimeError(f"{self.name}: scorer process closed its output")
+            scores.append(_check_score(float(line.strip()), self.name))
+        return scores
 
     def close(self):
+        """Close the scorer's input and wait for it to exit; a scorer still
+        running after CLOSE_TIMEOUT_S is killed and reaped, and the timeout
+        re-raised."""
         if self._proc.stdin:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+            raise
 
     def __enter__(self):
         return self
@@ -293,8 +302,8 @@ class ScorerSet:
     the corresponding stage is disabled."""
 
     langid: dict | None = None       # lang code -> LanguageScorer
-    embedder: object | None = None   # PairEmbedder-like
-    qe: object | None = None         # QualityScorer-like
+    embedder: object | None = None   # supports(lang), embed_batch(texts, langs)
+    qe: object | None = None         # supports(src_lang, tgt_lang), score_batch(records)
 
 
 # ---------------------------------------------------------------------------
@@ -381,84 +390,68 @@ def _cosine(a: np.ndarray, b: np.ndarray, report: StageReport) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def semantic_filter(records, embedder, cfg: FilterConfig):
-    """Keep a record iff (1 + cosine(embed(src), embed(tgt))) / 2 reaches the
-    threshold. Pairs with an unsupported or skip-listed language bypass."""
-    report = StageReport(stage=STAGE_SEMANTIC, n_in=len(records))
-    thr = cfg.threshold_for(STAGE_SEMANTIC)
-    skips = cfg.skips(STAGE_SEMANTIC)
+def _threshold_stage(records, cfg: FilterConfig, stage: str, reason: str, who: str,
+                     supports, score_batch, to_scores, width: int = 1):
+    """The body the semantic and QE stages share. A record with a
+    skip-listed language, or one `supports(src_lang, tgt_lang)` rejects,
+    bypasses the stage with a `skipped_language` warning. The rest go to one
+    `score_batch(records)` call, which must return `width` results per
+    record, in order; `to_scores(results, report)` turns them into one score
+    per record, and a record is kept iff its score reaches the threshold."""
+    report = StageReport(stage=stage, n_in=len(records))
+    thr = cfg.threshold_for(stage)
+    skips = cfg.skips(stage)
 
-    scored_idx = []
+    scored = []  # positions in records
     for i, r in enumerate(records):
         if (r.src_lang in skips or r.tgt_lang in skips
-                or not embedder.supports(r.src_lang)
-                or not embedder.supports(r.tgt_lang)):
+                or not supports(r.src_lang, r.tgt_lang)):
             report.warn("skipped_language")
         else:
-            scored_idx.append(i)
+            scored.append(i)
 
-    embeddings: dict[int, tuple] = {}
-    if scored_idx:
-        texts, langs = [], []
-        for i in scored_idx:
-            texts.extend([records[i].src, records[i].tgt])
-            langs.extend([records[i].src_lang, records[i].tgt_lang])
-        if hasattr(embedder, "embed_batch"):
-            vecs = embedder.embed_batch(texts, langs)
-        else:
-            vecs = [embedder.embed(t, l) for t, l in zip(texts, langs)]
-        for j, i in enumerate(scored_idx):
-            embeddings[i] = (vecs[2 * j], vecs[2 * j + 1])
-
-    kept = []
-    for i, r in enumerate(records):
-        if i not in embeddings:
-            kept.append(r)
-            continue
-        a, b = embeddings[i]
-        score = (1.0 + _cosine(a, b, report)) / 2.0
-        if score >= thr:
-            kept.append(r)
-        else:
-            report.drop(r, "semantic")
-    report.n_kept = len(kept)
-    report.validate()
-    return kept, report
-
-
-def quality_estimation_filter(records, qe, cfg: FilterConfig):
-    """Keep a record iff the reference-free quality score reaches the
-    threshold; skip-listed language pairs bypass."""
-    report = StageReport(stage=STAGE_QE, n_in=len(records))
-    thr = cfg.threshold_for(STAGE_QE)
-    skips = cfg.skips(STAGE_QE)
-
-    scored_idx = [i for i, r in enumerate(records)
-                  if r.src_lang not in skips and r.tgt_lang not in skips
-                  and qe.supports(r.src_lang, r.tgt_lang)]
-    bypass = len(records) - len(scored_idx)
-    for _ in range(bypass):
-        report.warn("skipped_language")
-
-    scores: dict[int, float] = {}
-    if scored_idx:
-        subset = [records[i] for i in scored_idx]
-        if hasattr(qe, "score_batch"):
-            values = qe.score_batch(subset)
-        else:
-            values = [qe.score(r) for r in subset]
-        for i, v in zip(scored_idx, values):
-            scores[i] = _check_score(v, getattr(qe, "name", "qe"))
+    results = score_batch([records[i] for i in scored]) if scored else []
+    if len(results) != width * len(scored):
+        raise ValueError(f"{who} returned {len(results)} results "
+                         f"for {width * len(scored)} inputs")
+    scores = dict(zip(scored, to_scores(results, report)))
 
     kept = []
     for i, r in enumerate(records):
         if i not in scores or scores[i] >= thr:
             kept.append(r)
         else:
-            report.drop(r, "quality")
+            report.drop(r, reason)
     report.n_kept = len(kept)
     report.validate()
     return kept, report
+
+
+def semantic_filter(records, embedder, cfg: FilterConfig):
+    """Keep a record iff (1 + cosine(embed(src), embed(tgt))) / 2 reaches the
+    threshold. Pairs with an unsupported or skip-listed language bypass."""
+
+    def embed_pairs(batch):
+        return embedder.embed_batch(
+            [text for r in batch for text in (r.src, r.tgt)],
+            [lang for r in batch for lang in (r.src_lang, r.tgt_lang)])
+
+    who = getattr(embedder, "name", "embedder")
+    return _threshold_stage(
+        records, cfg, STAGE_SEMANTIC, "semantic", who,
+        lambda s, t: embedder.supports(s) and embedder.supports(t), embed_pairs,
+        lambda vecs, report: [(1.0 + _cosine(a, b, report)) / 2.0
+                              for a, b in zip(vecs[::2], vecs[1::2])],
+        width=2)
+
+
+def quality_estimation_filter(records, qe, cfg: FilterConfig):
+    """Keep a record iff the reference-free quality score reaches the
+    threshold; skip-listed or unsupported language pairs bypass."""
+    who = getattr(qe, "name", "qe")
+    return _threshold_stage(
+        records, cfg, STAGE_QE, "quality", who, qe.supports, qe.score_batch,
+        lambda values, report: [_check_score(v, who) for v in values])
 
 
 def run_pipeline(records, cfg: FilterConfig, scorers: ScorerSet):

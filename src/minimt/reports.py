@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass, field
 
 EVAL_CSV_COLUMNS = [
@@ -136,7 +136,9 @@ def publish(files: dict) -> list[str]:
             path = os.fspath(path)
             directory = os.path.dirname(path) or "."
             os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".staged-")
+            tmp = os.path.join(directory, f".staged-{secrets.token_hex(8)}")
+            # 0o666 lets the umask set the mode, as open() would
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with os.fdopen(fd, "wb") as f:
                 f.write(_as_bytes(data))

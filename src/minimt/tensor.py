@@ -341,11 +341,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = _raw(x).size
-    return mul(sum_all(x), 1.0 / n)
-
-
 def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
                   ignore_index: int | None = None) -> Tensor:
     """Mean negative log-likelihood over non-ignored rows.

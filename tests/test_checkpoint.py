@@ -1,10 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from minimt.checkpoint import (
+    MAGIC,
+    VERSION,
     CheckpointError,
     checkpoint_bytes,
     load_checkpoint,
+    model_from_bytes,
     parameter_payload_bytes,
     save_checkpoint,
 )
@@ -99,6 +105,45 @@ def test_truncation_reports_offset(model, tmp_path):
     with pytest.raises(CheckpointError) as e:
         load_checkpoint(p)
     assert e.value.byte_offset is not None
+
+
+def _with_header(header: dict, payload: bytes = b"") -> bytes:
+    raw = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", len(raw)) + raw + payload
+
+
+def _header_and_payload(blob: bytes) -> tuple[dict, bytes]:
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16:16 + header_len]), blob[16 + header_len:]
+
+
+@pytest.mark.parametrize("header", [{"vocab": {}}, {"config": 5}],
+                         ids=["missing-config", "config-not-an-object"])
+def test_malformed_header_is_a_checkpoint_error(header):
+    with pytest.raises(CheckpointError) as e:
+        model_from_bytes(_with_header(header))
+    assert e.value.byte_offset == 16
+
+
+def test_unknown_dtype_code_is_a_checkpoint_error(model):
+    header, payload = _header_and_payload(checkpoint_bytes(model))
+    header["tensors"][0]["dtype"] = "f64"
+    with pytest.raises(CheckpointError) as e:
+        model_from_bytes(_with_header(header, payload))
+    assert e.value.byte_offset == 16
+
+
+def test_every_truncation_is_a_checkpoint_error(model):
+    blob = checkpoint_bytes(model)
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header_end = 16 + header_len
+    cuts = {*range(0, 17), *range(17, header_end + 1, max(1, header_len // 40)),
+            header_end - 1, header_end + 1,
+            *range(header_end, len(blob), max(1, (len(blob) - header_end) // 40)),
+            len(blob) - 1}
+    for cut in sorted(cuts):
+        with pytest.raises(CheckpointError):
+            model_from_bytes(blob[:cut])
 
 
 def test_fingerprint_ignores_metadata(model):

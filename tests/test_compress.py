@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from minimt.compress import (
     middle_block,
     middle_prune,
     removal_prefix_consistent,
+    run_compression_pipeline,
 )
 from minimt.corpus import ParallelRecord, SplitSpec
 from minimt.decode import translate_records
 from minimt.model import ModelConfig, init_model
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
+from minimt.training import TrainConfig
 from minimt.vocab import build_vocab
 
 DIRS = (("anu_Latn", "bnu_Latn"), ("bnu_Latn", "anu_Latn"))
@@ -293,3 +296,33 @@ class TestDistill:
         for r in synth:
             per_dir[r.direction] = per_dir.get(r.direction, 0) + 1
         assert all(v <= 3 for v in per_dir.values())
+
+
+def test_pipeline_with_a_teacher_distills_once(setup, tmp_path, monkeypatch):
+    import minimt.compress as compress_mod
+
+    student, corpus = setup
+    teacher = init_model(replace(student.config, n_encoder_layers=1,
+                                 n_decoder_layers=1), student.vocab, Rng(4))
+    calls = []
+
+    def counting_distill(*args, **kwargs):
+        calls.append(args[0])
+        return distill(*args, **kwargs)
+
+    monkeypatch.setattr(compress_mod, "distill", counting_distill)
+    tcfg = TrainConfig(learning_rate=1e-3, batch_size=16, grad_accum_steps=1,
+                       eval_every_steps=50, max_epochs=1, seed=1)
+    result = run_compression_pipeline(
+        student, corpus.train, corpus.dev, tcfg, cfg(1, strategy="middle"),
+        str(tmp_path), distill_cfg=DistillConfig(beam_size=1, max_len=40),
+        teacher=teacher)
+    assert calls == [teacher]
+    stages = json.loads(open(result.manifest_path).read())["stages"]
+    assert [s["stage"] for s in stages] == [
+        "stage1-finetuned", "stage2-pruned", "stage3-finetuned", "stage4-fp16"]
+    assert stages[0]["parent"] == student.fingerprint()
+    for prev, cur in zip(stages, stages[1:]):
+        assert cur["parent"] == prev["fingerprint"]
+    for s in stages:
+        assert (tmp_path / s["path"]).exists()

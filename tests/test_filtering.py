@@ -1,9 +1,11 @@
 import json
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import minimt.filtering as filtering
 from minimt.corpus import ParallelRecord, SplitSpec
 from minimt.filtering import (
     STAGE_LANG,
@@ -132,8 +134,8 @@ class FakeEmbedder:
     def supports(self, lang):
         return lang in self.supported
 
-    def embed(self, text, lang):
-        return np.array(self.table[text], dtype=np.float64)
+    def embed_batch(self, texts, langs):
+        return [np.array(self.table[t], dtype=np.float64) for t in texts]
 
 
 class TestSemantic:
@@ -161,6 +163,24 @@ class TestSemantic:
         assert kept == [r]
         assert report.warnings.get("skipped_language") == 1
 
+    def test_one_embedding_too_few_is_error(self):
+        class ShortEmbedder(FakeEmbedder):
+            def embed_batch(self, texts, langs):
+                return super().embed_batch(texts, langs)[:-1]
+
+        emb = ShortEmbedder({"a b c": [1.0, 0.0], "x y z": [1.0, 0.0]})
+        records = [rec("a b c", "x y z"), rec("x y z", "a b c")]
+        with pytest.raises(ValueError, match="fake-embed returned 3 results for 4"):
+            semantic_filter(records, emb, FilterConfig())
+
+    def test_repeated_record_is_scored_at_each_position(self):
+        emb = FakeEmbedder({"a b c": [1.0, 0.0], "x y z": [0.0, 1.0],
+                            "p q r": [1.0, 0.0]})
+        bad, good = rec("a b c", "x y z"), rec("a b c", "p q r")
+        kept, report = semantic_filter([bad, good, bad], emb, FilterConfig())
+        assert kept == [good]
+        assert report.drop_reasons == {"semantic": 2}
+
 
 class FakeQE:
     name = "fake-qe"
@@ -171,8 +191,8 @@ class FakeQE:
     def supports(self, s, t):
         return True
 
-    def score(self, record):
-        return self.scores[record.src]
+    def score_batch(self, records):
+        return [self.scores[r.src] for r in records]
 
 
 class TestQualityEstimation:
@@ -193,6 +213,16 @@ class TestQualityEstimation:
         qe = FakeQE({"x": 1.5})
         with pytest.raises(ValueError, match="out-of-range"):
             quality_estimation_filter([rec("x", "t")], qe, FilterConfig())
+
+    def test_one_score_too_few_is_error(self):
+        class ShortQE(FakeQE):
+            def score_batch(self, records):
+                return super().score_batch(records)[:-1]
+
+        qe = ShortQE({"good": 0.9, "bad": 0.2})
+        records = [rec("good", "t one"), rec("bad", "t two"), rec("bad", "t three")]
+        with pytest.raises(ValueError, match="fake-qe returned 2 results for 3"):
+            quality_estimation_filter(records, qe, FilterConfig())
 
 
 class TestPipeline:
@@ -276,15 +306,38 @@ ECHO_SCORER = (
 )
 
 
+STUBBORN_SCORER = (
+    "import signal, sys, time\n"
+    "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+    "sys.stdin.read()\n"
+    "time.sleep(60)\n"
+)
+
+
 class TestSubprocessScorer:
     def test_line_protocol_roundtrip(self):
         with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
-            high = scorer.score(rec("long enough", "tgt text"))
-            low = scorer.score(rec("ab", "tgt text"))
+            high, low = scorer.score_batch([rec("long enough", "tgt text"),
+                                            rec("ab", "tgt text")])
         assert high == 0.9
         assert low == 0.1
 
     def test_strict_ordering(self):
+        records = [rec("ab" if i % 3 else f"text {i}", "t") for i in range(10)]
         with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
-            values = [scorer.score(rec(f"text {i}", "t")) for i in range(10)]
-        assert values == [0.9] * 10
+            values = scorer.score_batch(records)
+        assert values == [0.1 if i % 3 else 0.9 for i in range(10)]
+
+    def test_as_qe_stage_scorer(self):
+        records = [rec("long enough", "tgt text"), rec("abc", "tgt text")]
+        with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
+            kept, report = quality_estimation_filter(records, scorer, FilterConfig())
+        assert kept == records[:1]
+        assert report.drop_reasons == {"quality": 1}
+
+    def test_close_kills_a_scorer_that_outlives_the_timeout(self, monkeypatch):
+        monkeypatch.setattr(filtering, "CLOSE_TIMEOUT_S", 0.5)
+        scorer = SubprocessScorer([sys.executable, "-c", STUBBORN_SCORER])
+        with pytest.raises(subprocess.TimeoutExpired):
+            scorer.close()
+        assert scorer._proc.poll() is not None

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -136,3 +138,12 @@ class TestPublish:
                      tmp_path / "c.txt": "gamma"})
         assert not (tmp_path / "c.txt").exists()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "keep", "taken"]
+
+    def test_files_get_the_mode_the_umask_gives(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            publish({tmp_path / "a.txt": "alpha", tmp_path / "sub" / "b.bin": b"beta"})
+        finally:
+            os.umask(old)
+        for p in (tmp_path / "a.txt", tmp_path / "sub" / "b.bin"):
+            assert stat.S_IMODE(p.stat().st_mode) == 0o644
