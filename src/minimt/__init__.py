@@ -9,7 +9,7 @@ throughput.
 
 __version__ = "0.1.0"
 
-from .bench import BenchResult, DecodeConfig, batch_by_tokens, bench_throughput
+from .bench import DecodeConfig, batch_by_tokens, bench_throughput
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -50,15 +50,7 @@ from .filtering import (
     run_pipeline,
 )
 from .langid import LangIdModel, train_langid
-from .metrics import (
-    BleuConfig,
-    ChrfConfig,
-    MetricScore,
-    bleu,
-    chrf_pp,
-    evaluate_direction,
-    segment_chrf_pp,
-)
+from .metrics import MetricScore, bleu, chrf_pp, evaluate_direction
 from .model import (
     ModelConfig,
     TranslationModel,

@@ -20,7 +20,6 @@ class DecodeConfig:
     beam_size: int = 3
     batch_token_budget: int = 1024
     max_output_length: int = 64
-    length_penalty: float = 1.0
 
     def __post_init__(self):
         for name in ("beam_size", "batch_token_budget", "max_output_length"):
@@ -88,7 +87,7 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     start_total = clock()
     for batch in batches[:warmup_batches]:
         translate_batch(model, [(r.src, r.src_lang, r.tgt_lang) for r in batch],
-                        cfg.beam_size, cfg.max_output_length, cfg.length_penalty)
+                        cfg.beam_size, cfg.max_output_length)
 
     hyps: list[str] = []
     output_tokens = 0
@@ -96,7 +95,7 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     for batch in batches:
         results = translate_batch(
             model, [(r.src, r.src_lang, r.tgt_lang) for r in batch],
-            cfg.beam_size, cfg.max_output_length, cfg.length_penalty)
+            cfg.beam_size, cfg.max_output_length)
         for res in results:
             output_tokens += len(res.tokens)
             hyps.append(detokenize(res.tokens, model.vocab))
@@ -110,26 +109,10 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     )
 
 
-@dataclass
-class BenchResult:
-    tokens_per_second: float
-    timed_seconds: float
-    total_seconds: float
-    output_tokens: int
-    n_batches: int
-
-
 def bench_throughput(model, testset, cfg: DecodeConfig,
-                     warmup_batches: int = 1, clock=None) -> BenchResult:
+                     warmup_batches: int = 1, clock=None) -> DecodeRun:
     """Output tokens/second over a testset; zero tokens give throughput 0."""
     if not testset:
         raise ValueError("empty testset")
-    run = decode_corpus(model, testset, cfg, warmup_batches=warmup_batches,
-                        clock=clock)
-    return BenchResult(
-        tokens_per_second=run.tokens_per_second,
-        timed_seconds=run.timed_seconds,
-        total_seconds=run.total_seconds,
-        output_tokens=run.output_tokens,
-        n_batches=run.n_batches,
-    )
+    return decode_corpus(model, testset, cfg, warmup_batches=warmup_batches,
+                         clock=clock)

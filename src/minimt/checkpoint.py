@@ -148,4 +148,8 @@ def parameter_payload_bytes(path) -> int:
     """Total tensor payload size recorded in a checkpoint's index."""
     with open(os.fspath(path), "rb") as f:
         header, _ = _read_header(f.read())
-    return sum(entry["nbytes"] for entry in header["tensors"])
+    try:
+        return sum(entry["nbytes"] for entry in header["tensors"])
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed header: {type(e).__name__}: {e}",
+                              byte_offset=16) from None

@@ -1,11 +1,11 @@
 """Command-line surface: reproducible runs over JSON configs.
 
-Every subcommand reads an optional JSON config (fields overridable with
-repeated --set dotted.path=value flags), validates it before touching any
-output, runs the corresponding pipeline, and publishes its artifacts plus a
-RunManifest all-or-nothing through reports.publish. Exit codes:
-0 success, 2 usage/config error, 3 runtime failure; failures print a JSON
-error record to stderr.
+Every subcommand but quantize and report reads an optional JSON config
+(fields overridable with repeated --set dotted.path=value flags), validates
+it before touching any output, runs the corresponding pipeline, and
+publishes its artifacts plus a RunManifest all-or-nothing through
+reports.publish. Exit codes: 0 success, 2 usage/config error, 3 runtime
+failure; failures print a JSON error record to stderr.
 
 The MINIMT_CONFIG_DIR environment variable supplies the directory against
 which bare config file names are resolved.
@@ -117,6 +117,16 @@ def load_config(path: str | None, overrides) -> dict:
     return cfg
 
 
+def _number(kind, node: dict, key: str, default):
+    """kind(node[key]), or kind(default) when the key is absent; a value
+    kind() rejects is a config error."""
+    value = node.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _build(cls, obj: dict, what: str):
     try:
         return cls(**obj)
@@ -152,11 +162,11 @@ def _read(path):
 
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.set)
-    seed = int(cfg.get("seed", 0))
+    seed = _number(int, cfg, "seed", 0)
     sizes = _build(SplitSpec, {
-        "train_size": int(cfg.get("train_size", 2000)),
-        "dev_size": int(cfg.get("dev_size", 200)),
-        "devtest_size": int(cfg.get("devtest_size", 200)),
+        "train_size": _number(int, cfg, "train_size", 2000),
+        "dev_size": _number(int, cfg, "dev_size", 200),
+        "devtest_size": _number(int, cfg, "devtest_size", 200),
         "seed": seed,
     }, "split")
     noise = _build(NoiseRates, cfg.get("noise_rates", {}), "noise")
@@ -165,7 +175,7 @@ def cmd_gen_data(args) -> int:
 
     t0 = time.monotonic()
     corpus = generate_synthetic_corpus(spec, sizes, noise, seed)
-    seeds = langid_seed_corpus(spec, int(cfg.get("langid_seed_size", 80)), seed)
+    seeds = langid_seed_corpus(spec, _number(int, cfg, "langid_seed_size", 80), seed)
     manifest.timings["wall_seconds"] = time.monotonic() - t0
 
     files = {os.path.join(args.out_dir, f"{split}.jsonl"):
@@ -219,8 +229,8 @@ def cmd_filter(args) -> int:
     if fc.enabled("quality_estimation"):
         qe_cfg = cfg.get("qe", {})
         scorers.qe = ForcedLogProbQualityScorer(
-            model, midpoint=float(qe_cfg.get("midpoint", -1.5)),
-            scale=float(qe_cfg.get("scale", 0.5)))
+            model, midpoint=_number(float, qe_cfg, "midpoint", -1.5),
+            scale=_number(float, qe_cfg, "scale", 0.5))
 
     manifest = _manifest("filter", cfg, None)
     manifest.add_input(args.infile)
@@ -240,7 +250,7 @@ def cmd_filter(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
-    seed = int(cfg.get("seed", 0))
+    seed = _number(int, cfg, "seed", 0)
     tc = _build(TrainConfig, {**cfg.get("train", {}), "seed": seed}, "train")
 
     train_records = _read(args.train_corpus)
@@ -382,8 +392,8 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config(args.config, args.set)
     dc = _build(DecodeConfig, cfg.get("decode", {}), "decode")
-    repetitions = int(cfg.get("repetitions", 3))
-    warmup = int(cfg.get("warmup_batches", 1))
+    repetitions = _number(int, cfg, "repetitions", 3)
+    warmup = _number(int, cfg, "warmup_batches", 1)
     model = load_checkpoint(args.ckpt)
     testset = _read(args.testset)
     if not testset:
@@ -501,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_prune)
 
     sp = sub.add_parser("quantize", help="store weights in half precision")
-    common(sp)
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_quantize)

@@ -278,8 +278,6 @@ def removal_prefix_consistent(report_small: PruneReport,
 class DistillConfig:
     beam_size: int = 3
     max_len: int = 64
-    per_direction_cap: int | None = None
-    refilter: bool = True
 
     def __post_init__(self):
         if self.beam_size < 1:
@@ -292,21 +290,12 @@ def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
     """Authentic corpus plus teacher-generated synthetic pairs.
 
     Synthetic pairs whose target exactly matches any authentic target are
-    dropped; the survivors optionally pass back through the filter pipeline.
+    dropped; the survivors pass back through the filter pipeline.
     """
     if student_vocab is not None and student_vocab != teacher.vocab:
         raise ValueError("teacher and student vocabularies differ")
 
     sources = list(source_records)
-    if cfg.per_direction_cap is not None:
-        seen: dict[str, int] = {}
-        capped = []
-        for r in sources:
-            seen[r.direction] = seen.get(r.direction, 0) + 1
-            if seen[r.direction] <= cfg.per_direction_cap:
-                capped.append(r)
-        sources = capped
-
     hyps = translate_records(teacher, sources, beam_size=cfg.beam_size,
                              max_len=cfg.max_len)
     teacher_tag = f"kd:{teacher.fingerprint()[:8]}"
@@ -319,7 +308,7 @@ def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
     authentic_targets = {r.tgt for r in authentic_records}
     synthetic = [r for r in synthetic if r.tgt not in authentic_targets]
 
-    if cfg.refilter and synthetic:
+    if synthetic:
         fc = filter_cfg or FilterConfig(
             stages_enabled={"language_detection": False, "semantic": False,
                             "quality_estimation": False})

@@ -4,9 +4,9 @@ arrays, plus batched greedy/beam decoding with fully deterministic
 tie-breaks.
 
 Scoring: a hypothesis is ranked by cumulative log-probability during search
-and by length-normalized score (logprob / length**penalty) at the end, where
-length counts generated tokens including eos. Ties break by lower first
-differing token index, then shorter hypothesis.
+and by length-normalized score (logprob / length) at the end, where length
+counts generated tokens including eos. Ties break by lower first differing
+token index, then shorter hypothesis.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class _ModelStepper:
         return logits
 
 
-def _normalized(logprob: float, length: int, penalty: float) -> float:
-    return logprob / max(length, 1) ** penalty
+def _normalized(logprob: float, length: int) -> float:
+    return logprob / max(length, 1)
 
 
 def _final_key(result_tokens: tuple, score: float):
@@ -173,8 +173,7 @@ def _final_key(result_tokens: tuple, score: float):
 
 
 def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
-                             eos_id: int, beam_size: int, max_len: int,
-                             length_penalty: float = 1.0) -> list[BeamResult]:
+                             eos_id: int, beam_size: int, max_len: int) -> list[BeamResult]:
     """Core beam loop over any stepper exposing prime_logits / reorder /
     advance. Used by the model decoder and by table-driven test fixtures.
     The stepper holds only the rows of samples that still have an alive
@@ -230,7 +229,7 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
                 seq = tokens[s * k + j] + (tok,)
                 if tok == eos_id:
                     lp = float(flat[f])
-                    finished[s].append((seq, lp, _normalized(lp, len(seq), length_penalty)))
+                    finished[s].append((seq, lp, _normalized(lp, len(seq))))
                 else:
                     parent_rows[i, slot] = i * k + j
                     next_ids[i, slot] = tok
@@ -259,7 +258,7 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
                     continue
                 seq = tokens[s * k + j]
                 lp = float(cum[s, j])
-                score = _normalized(lp, len(seq), length_penalty)
+                score = _normalized(lp, len(seq))
                 cand_res = (seq, lp, score)
                 if best is None or _final_key(cand_res[0], cand_res[2]) < _final_key(best[0], best[2]):
                     best = cand_res
@@ -271,8 +270,7 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
 
 
 def translate_batch(model: TranslationModel, sources: list[tuple[str, str, str]],
-                    beam_size: int = 3, max_len: int = 64,
-                    length_penalty: float = 1.0) -> list[BeamResult]:
+                    beam_size: int = 3, max_len: int = 64) -> list[BeamResult]:
     """Decode a batch of (src_text, src_lang, tgt_lang) triples."""
     if not sources:
         return []
@@ -285,13 +283,13 @@ def translate_batch(model: TranslationModel, sources: list[tuple[str, str, str]]
     stepper = _ModelStepper(model, enc_inputs, [t for _, _, t in sources], beam_size)
     return beam_search_over_stepper(
         stepper, len(sources), len(model.vocab), model.vocab.eos,
-        beam_size, max_len, length_penalty)
+        beam_size, max_len)
 
 
 def translate_records(model: TranslationModel, records, beam_size: int = 3,
-                      max_len: int = 64, length_penalty: float = 1.0) -> list[str]:
+                      max_len: int = 64) -> list[str]:
     """Hypothesis strings for a list of parallel records (source side only)."""
     results = translate_batch(
         model, [(r.src, r.src_lang, r.tgt_lang) for r in records],
-        beam_size, max_len, length_penalty)
+        beam_size, max_len)
     return [detokenize(r.tokens, model.vocab) for r in results]

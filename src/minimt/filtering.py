@@ -2,9 +2,9 @@
 
 Stage order: rule-based, language detection, semantic similarity, quality
 estimation. Keep-iff-score >= threshold for the three scored stages; one
-threshold (default 0.6) governs all of them unless overridden per stage.
-Output is always an order-preserving sub-list of the input; the only
-mutation anywhere is HTML stripping in stage 1, and it is counted.
+threshold (default 0.6) governs all three. Output is always an
+order-preserving sub-list of the input; the only mutation anywhere is HTML
+stripping in stage 1, and it is counted.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class FilterConfig:
     max_chars: int = 200
     max_length_ratio: float = 2.0
     threshold: float = 0.6
-    stage_thresholds: dict = field(default_factory=dict)
     skip_languages: dict = field(default_factory=dict)   # stage -> set of codes
     stages_enabled: dict = field(default_factory=dict)   # stage -> bool
 
@@ -45,15 +44,11 @@ class FilterConfig:
             raise ValueError("need 0 < min_chars <= max_chars")
         if self.max_length_ratio <= 1.0:
             raise ValueError("max_length_ratio must be > 1")
-        for t in (self.threshold, *self.stage_thresholds.values()):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"threshold {t} outside [0, 1]")
-        for stage in (*self.stage_thresholds, *self.skip_languages, *self.stages_enabled):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
+        for stage in (*self.skip_languages, *self.stages_enabled):
             if stage not in STAGES:
                 raise ValueError(f"unknown stage {stage!r}")
-
-    def threshold_for(self, stage: str) -> float:
-        return self.stage_thresholds.get(stage, self.threshold)
 
     def skips(self, stage: str) -> frozenset:
         return frozenset(self.skip_languages.get(stage, ()))
@@ -65,7 +60,6 @@ class FilterConfig:
         blob = json.dumps({
             "min_chars": self.min_chars, "max_chars": self.max_chars,
             "max_length_ratio": self.max_length_ratio, "threshold": self.threshold,
-            "stage_thresholds": dict(sorted(self.stage_thresholds.items())),
             "skip_languages": {k: sorted(v) for k, v in sorted(self.skip_languages.items())},
             "stages_enabled": dict(sorted(self.stages_enabled.items())),
             "cosine_mapping": "(1+cos)/2",
@@ -174,34 +168,35 @@ def langid_scorers(model: LangIdModel) -> dict[str, NaiveBayesLanguageScorer]:
     return {lang: NaiveBayesLanguageScorer(model, lang) for lang in model.languages}
 
 
-class PivotTranslationEmbedder:
-    """Embeds a sentence as the hashed word-bigram profile of its translation
-    into a fixed pivot language under a trained model. Both sides of an
-    aligned pair map to (nearly) the same pivot sentence, so cosine
-    similarity separates aligned pairs from mismatched ones. Word bigrams
-    (over boundary-padded tokens) keep unrelated same-language sentences
-    nearly orthogonal, which character n-grams do not."""
+PIVOT_EMBED_DIM = 256
 
-    def __init__(self, model, pivot_lang: str, dim: int = 256,
-                 beam_size: int = 1, max_len: int = 64):
+
+class PivotTranslationEmbedder:
+    """Embeds a sentence as the hashed word-bigram profile (PIVOT_EMBED_DIM
+    buckets) of its greedy translation into a fixed pivot language under a
+    trained model. Both sides of an aligned pair map to (nearly) the same
+    pivot sentence, so cosine similarity separates aligned pairs from
+    mismatched ones. Word bigrams (over boundary-padded tokens) keep
+    unrelated same-language sentences nearly orthogonal, which character
+    n-grams do not."""
+
+    def __init__(self, model, pivot_lang: str, max_len: int = 64):
         if pivot_lang not in model.vocab.language_tags:
             raise ValueError(f"pivot language {pivot_lang!r} unknown to the model")
         self.name = f"pivot-embed:{pivot_lang}"
         self.model = model
         self.pivot_lang = pivot_lang
-        self.dim = dim
-        self.beam_size = beam_size
         self.max_len = max_len
 
     def supports(self, lang: str) -> bool:
         return lang in self.model.vocab.language_tags
 
     def _profile(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
+        vec = np.zeros(PIVOT_EMBED_DIM, dtype=np.float64)
         tokens = ["<s>", *text.split(), "</s>"]
         for a, b in zip(tokens, tokens[1:]):
             h = int(hashlib.blake2b(f"{a}\x1f{b}".encode(), digest_size=4).hexdigest(), 16)
-            vec[h % self.dim] += 1.0
+            vec[h % PIVOT_EMBED_DIM] += 1.0
         return vec
 
     def embed_batch(self, texts: list[str], langs: list[str]) -> list[np.ndarray]:
@@ -214,7 +209,7 @@ class PivotTranslationEmbedder:
         if todo:
             results = translate_batch(
                 self.model, [(texts[i], langs[i], self.pivot_lang) for i in todo],
-                beam_size=self.beam_size, max_len=self.max_len)
+                beam_size=1, max_len=self.max_len)
             for i, r in zip(todo, results):
                 pivot_texts[i] = detokenize(r.tokens, self.model.vocab)
         return [self._profile(t) for t in pivot_texts]
@@ -263,7 +258,7 @@ class SubprocessScorer:
     def score_batch(self, records) -> list[float]:
         assert self._proc.stdin and self._proc.stdout
         scores = []
-        for record in records:
+        for i, record in enumerate(records):
             payload = json.dumps({
                 "src_lang": record.src_lang, "tgt_lang": record.tgt_lang,
                 "src": record.src, "tgt": record.tgt, "origin": record.origin,
@@ -273,7 +268,12 @@ class SubprocessScorer:
             line = self._proc.stdout.readline()
             if not line:
                 raise RuntimeError(f"{self.name}: scorer process closed its output")
-            scores.append(_check_score(float(line.strip()), self.name))
+            try:
+                value = float(line.strip())
+            except ValueError:
+                raise ValueError(f"{self.name}: non-numeric score {line.strip()!r} "
+                                 f"for record {i}") from None
+            scores.append(_check_score(value, self.name))
         return scores
 
     def close(self):
@@ -357,7 +357,6 @@ def language_detection_filter(records, scorer_by_lang: dict, cfg: FilterConfig):
     """Keep a record iff both sides score at least the threshold under their
     expected language's detector; skip-listed languages bypass their side."""
     report = StageReport(stage=STAGE_LANG, n_in=len(records))
-    thr = cfg.threshold_for(STAGE_LANG)
     skips = cfg.skips(STAGE_LANG)
     kept = []
     for r in records:
@@ -370,7 +369,7 @@ def language_detection_filter(records, scorer_by_lang: dict, cfg: FilterConfig):
             if scorer is None:
                 raise ValueError(
                     f"no language scorer for {lang!r} and it is not skip-listed")
-            if scorer.score_text(side) < thr:
+            if scorer.score_text(side) < cfg.threshold:
                 report.drop(r, reason)
                 ok = False
                 break
@@ -399,7 +398,6 @@ def _threshold_stage(records, cfg: FilterConfig, stage: str, reason: str, who: s
     record, in order; `to_scores(results, report)` turns them into one score
     per record, and a record is kept iff its score reaches the threshold."""
     report = StageReport(stage=stage, n_in=len(records))
-    thr = cfg.threshold_for(stage)
     skips = cfg.skips(stage)
 
     scored = []  # positions in records
@@ -418,7 +416,7 @@ def _threshold_stage(records, cfg: FilterConfig, stage: str, reason: str, who: s
 
     kept = []
     for i, r in enumerate(records):
-        if i not in scores or scores[i] >= thr:
+        if i not in scores or scores[i] >= cfg.threshold:
             kept.append(r)
         else:
             report.drop(r, reason)

@@ -11,6 +11,8 @@ import math
 import unicodedata
 from dataclasses import dataclass
 
+MIN_SEED_SENTENCES = 50
+
 
 def char_ngrams(text: str, lo: int = 1, hi: int = 3) -> list[str]:
     text = unicodedata.normalize("NFC", text)
@@ -25,11 +27,9 @@ class LangIdModel:
     languages: tuple[str, ...]
     log_prob: dict          # lang -> {ngram -> log p(ngram | lang)}
     floor_log: dict         # lang -> log p(unseen ngram | lang)
-    ngram_lo: int = 1
-    ngram_hi: int = 3
 
     def posterior(self, text: str) -> dict[str, float]:
-        grams = char_ngrams(text, self.ngram_lo, self.ngram_hi)
+        grams = char_ngrams(text)
         if not grams:
             k = len(self.languages)
             return {lang: 1.0 / k for lang in self.languages}
@@ -53,15 +53,14 @@ class LangIdModel:
         return max(sorted(post), key=lambda l: post[l])
 
 
-def train_langid(seed_corpus: dict[str, list[str]],
-                 min_sentences: int = 50) -> LangIdModel:
+def train_langid(seed_corpus: dict[str, list[str]]) -> LangIdModel:
     """Fit the detector from monolingual seed sentences per language."""
     if not seed_corpus:
         raise ValueError("empty seed corpus")
     for lang, sentences in seed_corpus.items():
-        if len(sentences) < min_sentences:
-            raise ValueError(
-                f"{lang}: need >= {min_sentences} seed sentences, got {len(sentences)}")
+        if len(sentences) < MIN_SEED_SENTENCES:
+            raise ValueError(f"{lang}: need >= {MIN_SEED_SENTENCES} seed sentences, "
+                             f"got {len(sentences)}")
 
     counts: dict[str, dict[str, int]] = {}
     vocab: set[str] = set()

@@ -1,73 +1,35 @@
 """Corpus-level BLEU and chrF++ built from scratch.
 
-Both metrics are pure functions of (hypotheses, references, config) on the
-0-100 scale. chrF++ doubles as the pruning objective, so it is kept free of
+Both metrics are pure functions of (hypotheses, references) on the 0-100
+scale. chrF++ doubles as the pruning objective, so it is kept free of
 any model or IO dependency.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class ChrfConfig:
-    """chrF++ settings: char n-grams 1..char_ngram_max on whitespace-stripped
-    text, word n-grams 1..word_ngram_max on punctuation-split tokens, F_beta."""
-
-    char_ngram_max: int = 6
-    word_ngram_max: int = 2
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if self.char_ngram_max < 1 or self.word_ngram_max < 1:
-            raise ValueError("n-gram orders must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-
-@dataclass(frozen=True)
-class BleuConfig:
-    """BLEU settings. Tokenizer: split on whitespace, isolate Unicode
-    punctuation runs as separate tokens; no lowercasing.
-
-    Exponential smoothing: the k-th order with zero matches (k counting
-    zero-match orders so far) contributes precision 1/(2^k * max(total, 1));
-    the max(total, 1) guard covers orders where the hypotheses contain no
-    n-grams at all.
-    """
-
-    max_ngram: int = 4
-    smoothing: str = "exponential"  # "exponential" | "none"
-
-    def __post_init__(self):
-        if self.max_ngram < 1:
-            raise ValueError("max_ngram must be >= 1")
-        if self.smoothing not in ("exponential", "none"):
-            raise ValueError(f"unknown smoothing: {self.smoothing!r}")
+# chrF++: char n-grams 1..CHRF_CHAR_ORDER on whitespace-stripped text, word
+# n-grams 1..CHRF_WORD_ORDER on punctuation-split tokens, F_beta
+CHRF_CHAR_ORDER = 6
+CHRF_WORD_ORDER = 2
+CHRF_BETA = 2.0
+BLEU_ORDER = 4
 
 
 @dataclass(frozen=True)
 class MetricScore:
     value: float
     metric: str
-    config_fingerprint: str
     segment_count: int
     warning: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 100.0:
             raise ValueError(f"metric value out of range: {self.value}")
-
-
-def _fingerprint(cfg) -> str:
-    blob = json.dumps(cfg.__dict__, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def tokenize_for_bleu(text: str) -> list[str]:
@@ -106,14 +68,13 @@ def _check_parallel(hypotheses, references):
         raise ValueError("empty corpus")
 
 
-def chrf_pp(hypotheses: list[str], references: list[str],
-            cfg: ChrfConfig = ChrfConfig()) -> MetricScore:
+def chrf_pp(hypotheses: list[str], references: list[str]) -> MetricScore:
     """Corpus chrF++: order-averaged precision/recall over character and word
     n-grams, combined with F_beta. Orders with zero reference mass are
     excluded from the averages."""
     _check_parallel(hypotheses, references)
 
-    n_orders = cfg.char_ngram_max + cfg.word_ngram_max
+    n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
     hyp_tot = [0] * n_orders
     ref_tot = [0] * n_orders
     match_tot = [0] * n_orders
@@ -122,17 +83,17 @@ def chrf_pp(hypotheses: list[str], references: list[str],
         hyp_chars, ref_chars = _strip_ws(hyp), _strip_ws(ref)
         hyp_words = tokenize_for_bleu(hyp)
         ref_words = tokenize_for_bleu(ref)
-        for n in range(1, cfg.char_ngram_max + 1):
+        for n in range(1, CHRF_CHAR_ORDER + 1):
             hc = _ngram_counts(hyp_chars, n)
             rc = _ngram_counts(ref_chars, n)
             i = n - 1
             hyp_tot[i] += sum(hc.values())
             ref_tot[i] += sum(rc.values())
             match_tot[i] += sum((hc & rc).values())
-        for n in range(1, cfg.word_ngram_max + 1):
+        for n in range(1, CHRF_WORD_ORDER + 1):
             hc = _ngram_counts(hyp_words, n)
             rc = _ngram_counts(ref_words, n)
-            i = cfg.char_ngram_max + n - 1
+            i = CHRF_CHAR_ORDER + n - 1
             hyp_tot[i] += sum(hc.values())
             ref_tot[i] += sum(rc.values())
             match_tot[i] += sum((hc & rc).values())
@@ -153,26 +114,24 @@ def chrf_pp(hypotheses: list[str], references: list[str],
         if p + r == 0:
             value = 0.0
         else:
-            b2 = cfg.beta * cfg.beta
+            b2 = CHRF_BETA * CHRF_BETA
             value = 100.0 * (1 + b2) * p * r / (b2 * p + r)
-    return MetricScore(value, "chrf++", _fingerprint(cfg), len(hypotheses))
+    return MetricScore(value, "chrf++", len(hypotheses))
 
 
-def segment_chrf_pp(hypothesis: str, reference: str,
-                    cfg: ChrfConfig = ChrfConfig()) -> float:
-    """chrF++ of a single pair (same formula on a one-segment corpus);
-    exposed for debugging."""
-    return chrf_pp([hypothesis], [reference], cfg).value
-
-
-def bleu(hypotheses: list[str], references: list[str],
-         cfg: BleuConfig = BleuConfig()) -> MetricScore:
+def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
     """Corpus BLEU: clipped modified n-gram precisions, geometric mean over
-    orders 1..max_ngram, times brevity penalty exp(1 - r/c) when c < r."""
+    orders 1..BLEU_ORDER, times brevity penalty exp(1 - r/c) when c < r.
+
+    Tokenizer: split on whitespace, isolate Unicode punctuation runs as
+    separate tokens; no lowercasing. Exponential smoothing: the k-th order
+    with zero matches (k counting zero-match orders so far) contributes
+    precision 1/(2^k * max(total, 1)); the max(total, 1) guard covers orders
+    where the hypotheses contain no n-grams at all."""
     _check_parallel(hypotheses, references)
 
-    correct = [0] * cfg.max_ngram
-    total = [0] * cfg.max_ngram
+    correct = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -180,32 +139,29 @@ def bleu(hypotheses: list[str], references: list[str],
         ref_toks = tokenize_for_bleu(ref)
         hyp_len += len(hyp_toks)
         ref_len += len(ref_toks)
-        for n in range(1, cfg.max_ngram + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hc = _ngram_counts(hyp_toks, n)
             rc = _ngram_counts(ref_toks, n)
             correct[n - 1] += sum((hc & rc).values())
             total[n - 1] += sum(hc.values())
 
-    fingerprint = _fingerprint(cfg)
     if hyp_len == 0:
-        return MetricScore(0.0, "bleu", fingerprint, len(hypotheses),
+        return MetricScore(0.0, "bleu", len(hypotheses),
                            warning="all hypotheses empty")
 
     log_sum = 0.0
     zero_orders = 0
-    for n in range(1, cfg.max_ngram + 1):
+    for n in range(1, BLEU_ORDER + 1):
         if correct[n - 1] > 0:
             p = correct[n - 1] / total[n - 1]
-        elif cfg.smoothing == "exponential":
+        else:
             zero_orders += 1
             p = 1.0 / (2**zero_orders * max(total[n - 1], 1))
-        else:
-            return MetricScore(0.0, "bleu", fingerprint, len(hypotheses))
         log_sum += math.log(p)
 
-    geo_mean = math.exp(log_sum / cfg.max_ngram)
+    geo_mean = math.exp(log_sum / BLEU_ORDER)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return MetricScore(100.0 * bp * geo_mean, "bleu", fingerprint, len(hypotheses))
+    return MetricScore(100.0 * bp * geo_mean, "bleu", len(hypotheses))
 
 
 def evaluate_direction(model, testset, decode_cfg, clock=None):

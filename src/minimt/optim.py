@@ -6,35 +6,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     """Per-parameter first/second moments. The update denominator is
-    sqrt(v_hat) + epsilon (the original formulation)."""
+    sqrt(v_hat) + ADAM_EPSILON (the original formulation)."""
 
     step_count: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
         if self.step_count < 0:
             raise ValueError("step_count must be non-negative")
 
     @classmethod
-    def init(cls, params, beta1: float = 0.9, beta2: float = 0.999,
-             epsilon: float = 1e-8) -> "AdamState":
+    def init(cls, params) -> "AdamState":
         return cls(
             step_count=0,
             first_moment=[np.zeros_like(p) for p in params],
             second_moment=[np.zeros_like(p) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 
@@ -51,7 +46,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
@@ -59,5 +54,5 @@ def adam_step(params, grads, state: AdamState, lr: float):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
     return params, state

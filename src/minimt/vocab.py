@@ -106,28 +106,3 @@ def detokenize(ids, vocab: Vocab) -> str:
             out.append(tok)
     return "".join(out)
 
-
-def vocab_to_lines(vocab: Vocab) -> list[str]:
-    """Line-oriented text export: one token per line, specials annotated."""
-    special = {vocab.pad: "pad", vocab.bos: "bos", vocab.eos: "eos", vocab.unk: "unk"}
-    tag_by_idx = {idx: code for code, idx in vocab.language_tags.items()}
-    lines = []
-    for i, tok in enumerate(vocab.tokens):
-        if i in special:
-            lines.append(f"{tok}\t#{special[i]}")
-        elif i in tag_by_idx:
-            lines.append(f"{tok}\t#lang:{tag_by_idx[i]}")
-        else:
-            lines.append(tok)
-    return lines
-
-
-def vocab_from_lines(lines) -> Vocab:
-    tokens = []
-    tags = {}
-    for line in lines:
-        tok, _, note = line.partition("\t")
-        if note.startswith("#lang:"):
-            tags[note[len("#lang:"):]] = len(tokens)
-        tokens.append(tok)
-    return Vocab(tokens, tags)

@@ -101,7 +101,7 @@ class TestBench:
 
         monkeypatch.setattr(
             bench_mod, "translate_batch",
-            lambda m, items, beam_size, max_len, penalty: [
+            lambda m, items, beam_size, max_len: [
                 BeamResult((), -1.0, -1.0, True) for _ in items])
         cfg = DecodeConfig(beam_size=1, batch_token_budget=1024, max_output_length=4)
         result = bench_throughput(model, records(3), cfg, warmup_batches=0)

@@ -78,11 +78,16 @@ def test_magic_mismatch(tmp_path):
     assert e.value.byte_offset == 0
 
 
-@pytest.mark.parametrize("cut", ["3 bytes", "prefix", "header", "bad magic"])
+@pytest.mark.parametrize("cut", ["3 bytes", "prefix", "header", "bad magic",
+                                 "no tensors", "no nbytes"])
 def test_payload_size_of_a_damaged_file_is_a_checkpoint_error(model, tmp_path, cut):
     blob = checkpoint_bytes(model)
+    header, payload = _header_and_payload(blob)
+    del header["tensors"][0]["nbytes"]
     damaged = {"3 bytes": blob[:3], "prefix": blob[:10], "header": blob[:40],
-               "bad magic": b"NOPE" + blob[4:]}[cut]
+               "bad magic": b"NOPE" + blob[4:],
+               "no tensors": _with_header({"vocab": {}}),
+               "no nbytes": _with_header(header, payload)}[cut]
     p = tmp_path / "damaged.ckpt"
     p.write_bytes(damaged)
     with pytest.raises(CheckpointError):

@@ -205,6 +205,27 @@ class TestErrors:
         rc = main(["gen-data", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_USAGE
 
+    def test_unknown_decode_field_is_config_error(self, tiny_ckpt, data_dir,
+                                                  tmp_path, capsys):
+        rc = main(["bench", "--ckpt", str(tiny_ckpt), "--testset",
+                   str(data_dir / "devtest.jsonl"), "--out", str(tmp_path / "b.json"),
+                   "--set", "decode.length_penalty=0.6"])
+        assert rc == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_numeric_setting_is_config_error(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out-dir", str(tmp_path / "o"), "--set", "seed=abc"])
+        assert rc == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_quantize_rejects_config_flags(self, tiny_ckpt, tmp_path):
+        rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(tmp_path / "q.ckpt"),
+                   "--config", str(tmp_path / "missing.json"), "--set", "anything=1"])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_module_entry_point(data_dir):
     proc = subprocess.run([sys.executable, "-m", "minimt", "--version"],

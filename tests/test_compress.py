@@ -285,18 +285,6 @@ class TestDistill:
             distill(model, corpus.train[:2], DistillConfig(),
                     corpus.train[:2], student_vocab=other_vocab)
 
-    def test_per_direction_cap(self, setup):
-        model, corpus = setup
-        kd = distill(model, corpus.train[:20],
-                     DistillConfig(beam_size=1, max_len=40, per_direction_cap=3,
-                                   refilter=False),
-                     corpus.train[:20])
-        synth = [r for r in kd if r.origin.startswith("kd:")]
-        per_dir = {}
-        for r in synth:
-            per_dir[r.direction] = per_dir.get(r.direction, 0) + 1
-        assert all(v <= 3 for v in per_dir.values())
-
 
 def test_pipeline_with_a_teacher_distills_once(setup, tmp_path, monkeypatch):
     import minimt.compress as compress_mod

@@ -306,6 +306,13 @@ ECHO_SCORER = (
 )
 
 
+WORDY_SCORER = (
+    "import sys\n"
+    "for i, line in enumerate(sys.stdin):\n"
+    "    print('0.5' if i == 0 else 'high', flush=True)\n"
+)
+
+
 STUBBORN_SCORER = (
     "import signal, sys, time\n"
     "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
@@ -334,6 +341,13 @@ class TestSubprocessScorer:
             kept, report = quality_estimation_filter(records, scorer, FilterConfig())
         assert kept == records[:1]
         assert report.drop_reasons == {"quality": 1}
+
+    def test_non_numeric_reply_names_scorer_and_record(self):
+        records = [rec("long enough", "tgt text"), rec("abc", "tgt text")]
+        with SubprocessScorer([sys.executable, "-c", WORDY_SCORER],
+                              name="wordy") as scorer:
+            with pytest.raises(ValueError, match=r"wordy: .*'high' for record 1"):
+                scorer.score_batch(records)
 
     def test_close_kills_a_scorer_that_outlives_the_timeout(self, monkeypatch):
         monkeypatch.setattr(filtering, "CLOSE_TIMEOUT_S", 0.5)

@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimt.vocab import (
-    build_vocab,
-    detokenize,
-    tokenize,
-    vocab_from_lines,
-    vocab_to_lines,
-)
+from minimt.vocab import build_vocab, detokenize, tokenize
 
 
 @pytest.fixture
@@ -52,10 +46,3 @@ def test_malformed_code_rejected():
 def test_roundtrip_over_vocab_alphabet(s):
     v = build_vocab("abcdef ", ["anu_Latn"])
     assert detokenize(tokenize(s, v), v) == s
-
-
-def test_text_export_roundtrip(vocab):
-    lines = vocab_to_lines(vocab)
-    back = vocab_from_lines(lines)
-    assert back == vocab
-    assert lines[0].startswith("<pad>")
