@@ -29,16 +29,14 @@ from .compress import (
     run_compression_pipeline,
 )
 from .corpus import (
-    CorpusManifest,
     ParallelRecord,
     SplitSpec,
     dedup_exact,
-    downsample,
     read_corpus,
     reverse_directions,
     write_corpus,
 )
-from .decode import BeamResult, translate_batch, translate_records
+from .decode import BeamResult, encode_sources, translate_batch, translate_records
 from .filtering import (
     FilterConfig,
     FilterReport,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
-from .decode import translate_records
+from .decode import encode_sources, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_pp
 from .model import DECODER, ENCODER, TranslationModel, quantize_fp16, remove_layers
@@ -132,13 +132,20 @@ def _dev_sets(cfg: PruneConfig, dev_records) -> dict[tuple[str, str], list]:
     return sets
 
 
+def _layer_counts(model: TranslationModel) -> dict[str, int]:
+    return {ENCODER: model.config.n_encoder_layers,
+            DECODER: model.config.n_decoder_layers}
+
+
 def mean_dev_chrf(model: TranslationModel, dev_sets: dict, beam_size: int = 1,
-                  max_len: int = 64) -> float:
-    """Unweighted mean corpus chrF++ across directions."""
+                  max_len: int = 64, encoded: dict | None = None) -> float:
+    """Unweighted mean corpus chrF++ across directions. encoded maps a
+    direction to encode_sources of its records (see translate_batch)."""
     scores = []
     for direction in sorted(dev_sets):
         records = dev_sets[direction]
-        hyps = translate_records(model, records, beam_size=beam_size, max_len=max_len)
+        hyps = translate_records(model, records, beam_size=beam_size, max_len=max_len,
+                                 encoded=(encoded or {}).get(direction))
         scores.append(chrf_pp(hyps, [r.tgt for r in records]).value)
     return sum(scores) / len(scores)
 
@@ -146,18 +153,25 @@ def mean_dev_chrf(model: TranslationModel, dev_sets: dict, beam_size: int = 1,
 def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
                           beam_size: int = 1, max_len: int = 64) -> dict:
     """chrF++ of the model with each candidate layer removed (no retraining).
-    Keys are (side, current layer index)."""
-    counts = {ENCODER: model.config.n_encoder_layers,
-              DECODER: model.config.n_decoder_layers}
+    Keys are (side, current layer index). Removing a decoder layer leaves
+    the embedding and encoder bit-identical, so every decoder candidate
+    decodes against one encoding of each direction by this model; encoder
+    candidates encode for themselves."""
+    counts = _layer_counts(model)
     for side in sides:
         if counts[side] < 2:
             raise ValueError(f"{side} stack too small to evaluate removals")
     scores = {}
     for side in sides:
+        encoded = None
+        if side == DECODER:
+            encoded = {d: encode_sources(model, [(r.src, r.src_lang, r.tgt_lang)
+                                                 for r in records])
+                       for d, records in dev_sets.items()}
         for idx in range(counts[side]):
             candidate = remove_layers(model, side, {idx})
             scores[(side, idx)] = mean_dev_chrf(candidate, dev_sets,
-                                                beam_size, max_len)
+                                                beam_size, max_len, encoded)
     return scores
 
 
@@ -165,14 +179,17 @@ def iterative_prune(model: TranslationModel, cfg: PruneConfig, dev_records,
                     importance_fn=None) -> tuple[TranslationModel, PruneReport]:
     """Remove cfg.n layers per targeted side, greedily by dev chrF++.
     importance_fn may replace layer_importance_eval (test hook)."""
+    counts = _layer_counts(model)
+    for side in cfg.side_list:
+        if cfg.n >= counts[side]:
+            raise ValueError(f"cannot remove {cfg.n} of {counts[side]} {side} layers")
     dev_sets = _dev_sets(cfg, dev_records)
     if importance_fn is None:
         importance_fn = layer_importance_eval
     report = PruneReport(strategy=STRATEGY_ITERATIVE, config=asdict(cfg),
                          notes={"layer_ids": "0-based original indices"})
     current = model.clone()
-    orig_ids = {ENCODER: list(range(model.config.n_encoder_layers)),
-                DECODER: list(range(model.config.n_decoder_layers))}
+    orig_ids = {side: list(range(count)) for side, count in counts.items()}
     removed_count = {side: 0 for side in cfg.side_list}
 
     total = cfg.n * len(cfg.side_list)
@@ -223,8 +240,7 @@ def middle_prune(model: TranslationModel, cfg: PruneConfig) -> tuple[Translation
     report = PruneReport(strategy=STRATEGY_MIDDLE, config=asdict(cfg),
                          notes={"layer_ids": "0-based original indices"})
     current = model.clone()
-    counts = {ENCODER: model.config.n_encoder_layers,
-              DECODER: model.config.n_decoder_layers}
+    counts = _layer_counts(model)
     if cfg.n > 0:
         removed = {}
         for side in cfg.side_list:

@@ -1,5 +1,5 @@
 """Parallel-data model and bookkeeping: JSONL/TSV IO, exact-pair dedup,
-direction reversal, capped downsampling, and split accounting.
+direction reversal, and split sizes.
 
 JSONL is the canonical on-disk format (fields src_lang, tgt_lang, src, tgt,
 origin); TSV is ingestion-only. Noise flags are test-only metadata and are
@@ -15,7 +15,6 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 
 from .reports import publish
-from .rng import Rng
 from .vocab import validate_lang_code
 
 # dev/devtest sizes of the public multilingual benchmark this toolkit's
@@ -173,27 +172,6 @@ def reverse_directions(records) -> list[ParallelRecord]:
     return out
 
 
-def downsample(records, per_direction_cap: int, seed: int) -> list[ParallelRecord]:
-    """Uniform sample without replacement per direction over the cap;
-    directions at or under the cap pass through. Keeps input order."""
-    if per_direction_cap < 0:
-        raise ValueError("cap must be >= 0")
-    by_dir: dict[str, list[int]] = {}
-    for i, r in enumerate(records):
-        by_dir.setdefault(r.direction, []).append(i)
-
-    keep = set()
-    root = Rng(seed)
-    for direction, idxs in by_dir.items():
-        if len(idxs) <= per_direction_cap:
-            keep.update(idxs)
-        else:
-            rng = root.split(f"downsample:{direction}")
-            chosen = rng.choice(len(idxs), per_direction_cap)
-            keep.update(idxs[int(c)] for c in chosen)
-    return [r for i, r in enumerate(records) if i in keep]
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """train/dev/devtest sizes. dev doubles as validation and the layer
@@ -208,52 +186,3 @@ class SplitSpec:
         for n in (self.train_size, self.dev_size, self.devtest_size):
             if n < 0:
                 raise ValueError("split sizes must be >= 0")
-
-
-@dataclass
-class DirectionCounts:
-    initial: int
-    processed: int
-    sampled: int
-
-    def __post_init__(self):
-        if not self.processed <= self.initial:
-            raise ValueError("processed must be <= initial")
-        if not self.sampled <= self.processed:
-            raise ValueError("sampled must be <= processed")
-
-
-@dataclass
-class CorpusManifest:
-    directions: dict[str, DirectionCounts]
-    provenance: list[str]
-    per_direction_cap: int | None = None
-
-    def to_json(self) -> str:
-        obj = {
-            "directions": {
-                d: {"initial": c.initial, "processed": c.processed, "sampled": c.sampled}
-                for d, c in sorted(self.directions.items())
-            },
-            "provenance": list(self.provenance),
-            "per_direction_cap": self.per_direction_cap,
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_stages(cls, initial, processed, sampled, provenance=(), cap=None):
-        """Build per-direction counts from the three corpus snapshots."""
-
-        def count(records):
-            out: dict[str, int] = {}
-            for r in records:
-                out[r.direction] = out.get(r.direction, 0) + 1
-            return out
-
-        ci, cp, cs = count(initial), count(processed), count(sampled)
-        directions = {
-            d: DirectionCounts(ci.get(d, 0), cp.get(d, 0), cs.get(d, 0))
-            for d in sorted(set(ci) | set(cp) | set(cs))
-        }
-        return cls(directions=directions, provenance=sorted(set(provenance)),
-                   per_direction_cap=cap)

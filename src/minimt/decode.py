@@ -11,6 +11,7 @@ token index, then shorter hypothesis.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -89,32 +90,66 @@ def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ModelStepper:
-    """Row-parallel incremental decoder, starting with R = n_samples *
-    beam_size rows; reorder may drop rows. Holds per-layer self-attention
-    caches and precomputed cross K/V per row."""
+@dataclass(frozen=True)
+class EncodedSources:
+    """Encoder output for a batch of (src_text, src_lang, tgt_lang) sources.
+    translate_batch reuses it for any model whose embedding and encoder
+    weights are bit-equal to the encoding model's (encoder_key), e.g. every
+    model remove_layers derives from it on the decoder side."""
 
-    def __init__(self, model: TranslationModel, enc_inputs: list[list[int]],
-                 tgt_langs: list[str], beam_size: int):
+    sources: tuple
+    enc: np.ndarray                        # (N, Ts, d)
+    bias: np.ndarray                       # (N, 1, 1, Ts) source pad bias
+    encoder_key: str
+
+
+def _encoder_key(model: TranslationModel) -> str:
+    """Digest of everything the encoder output depends on: the head count
+    and the embedding and enc.* arrays (names, dtypes and bytes)."""
+    h = hashlib.blake2b(repr(model.config.n_heads).encode(), digest_size=16)
+    for name, a in model.params.items():
+        if name == "embedding" or name.startswith("enc."):
+            h.update(f"{name}:{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
+def encode_sources(model: TranslationModel,
+                   sources: list[tuple[str, str, str]]) -> EncodedSources:
+    """Encode a nonempty batch of (src_text, src_lang, tgt_lang) triples."""
+    if not sources:
+        raise ValueError("no sources to encode")
+    enc_inputs = [encoder_input_ids(model.vocab, text, sl) for text, sl, _ in sources]
+    too_long = [i for i, s in enumerate(enc_inputs) if len(s) > model.config.max_positions]
+    if too_long:
+        raise ValueError(f"source {too_long[0]} exceeds max_positions")
+    src_ids = np.zeros((len(enc_inputs), max(map(len, enc_inputs))), dtype=np.int64)
+    for i, s in enumerate(enc_inputs):
+        src_ids[i, : len(s)] = s
+    src_len = np.array([len(s) for s in enc_inputs], dtype=np.int64)
+    enc, bias = encode_np(compute_params(model), model.config, src_ids, src_len)
+    return EncodedSources(tuple(sources), enc, bias, _encoder_key(model))
+
+
+class _ModelStepper:
+    """Row-parallel incremental decoder over an encoded batch, starting with
+    R = n_samples * beam_size rows; reorder may drop rows. Holds per-layer
+    self-attention caches and precomputed cross K/V per row."""
+
+    def __init__(self, model: TranslationModel, encoded: EncodedSources,
+                 beam_size: int):
         self.w = compute_params(model)
         self.config = model.config
         self.vocab = model.vocab
-        n = len(enc_inputs)
-
-        ts = max(len(s) for s in enc_inputs)
-        src_ids = np.zeros((n, ts), dtype=np.int64)
-        for i, s in enumerate(enc_inputs):
-            src_ids[i, : len(s)] = s
-        src_len = np.array([len(s) for s in enc_inputs], dtype=np.int64)
-        enc, bias = encode_np(self.w, self.config, src_ids, src_len)
+        n = len(encoded.sources)
 
         h = self.config.n_heads
         layers = range(self.config.n_decoder_layers)
         self.cross_kvs = [
             [np.repeat(a, beam_size, axis=0)
-             for a in key_values(self.w, f"dec.{i}.cross", enc, h)]
+             for a in key_values(self.w, f"dec.{i}.cross", encoded.enc, h)]
             for i in layers]
-        self.cross_bias = np.repeat(bias, beam_size, axis=0)
+        self.cross_bias = np.repeat(encoded.bias, beam_size, axis=0)
         self.sample_of_row = np.repeat(np.arange(n), beam_size)
 
         r = n * beam_size
@@ -122,7 +157,8 @@ class _ModelStepper:
         self.caches = [[empty, empty] for _ in layers]
 
         # prime with the forced [tgt tag, bos] prefix (positions 0 and 1)
-        tags = np.repeat([self.vocab.lang_tag(t) for t in tgt_langs], beam_size)
+        tags = np.repeat([self.vocab.lang_tag(t) for _, _, t in encoded.sources],
+                         beam_size)
         self._states(tags, 0)
         self._logits = self._step(np.full(r, self.vocab.bos, dtype=np.int64), 1)
 
@@ -270,26 +306,36 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
 
 
 def translate_batch(model: TranslationModel, sources: list[tuple[str, str, str]],
-                    beam_size: int = 3, max_len: int = 64) -> list[BeamResult]:
-    """Decode a batch of (src_text, src_lang, tgt_lang) triples."""
+                    beam_size: int = 3, max_len: int = 64, *,
+                    encoded: EncodedSources | None = None) -> list[BeamResult]:
+    """Decode a batch of (src_text, src_lang, tgt_lang) triples. encoded,
+    from encode_sources, skips the encoder; it must come from these sources
+    and from a model with this model's embedding and encoder weights."""
     if not sources:
         return []
     if 2 + max_len > model.config.max_positions:
         max_len = model.config.max_positions - 2
-    enc_inputs = [encoder_input_ids(model.vocab, text, sl) for text, sl, _ in sources]
-    too_long = [i for i, s in enumerate(enc_inputs) if len(s) > model.config.max_positions]
-    if too_long:
-        raise ValueError(f"source {too_long[0]} exceeds max_positions")
-    stepper = _ModelStepper(model, enc_inputs, [t for _, _, t in sources], beam_size)
+    if encoded is None:
+        encoded = encode_sources(model, sources)
+    elif encoded.sources != tuple(sources):
+        raise ValueError("encoded was built from other sources")
+    elif encoded.encoder_key != _encoder_key(model):
+        raise ValueError("encoded was built by a model with other encoder weights")
+    stepper = _ModelStepper(model, encoded, beam_size)
+    # the stepper keeps only cross K/V, so an encoding made here need not be
+    # held through the search (2.3 MB for filter's 600-row semantic batch)
+    del encoded
     return beam_search_over_stepper(
         stepper, len(sources), len(model.vocab), model.vocab.eos,
         beam_size, max_len)
 
 
 def translate_records(model: TranslationModel, records, beam_size: int = 3,
-                      max_len: int = 64) -> list[str]:
-    """Hypothesis strings for a list of parallel records (source side only)."""
+                      max_len: int = 64, *,
+                      encoded: EncodedSources | None = None) -> list[str]:
+    """Hypothesis strings for a list of parallel records (source side only);
+    encoded is passed on to translate_batch."""
     results = translate_batch(
         model, [(r.src, r.src_lang, r.tgt_lang) for r in records],
-        beam_size, max_len)
+        beam_size, max_len, encoded=encoded)
     return [detokenize(r.tokens, model.vocab) for r in results]

@@ -49,6 +49,15 @@ class FilterConfig:
         for stage in (*self.skip_languages, *self.stages_enabled):
             if stage not in STAGES:
                 raise ValueError(f"unknown stage {stage!r}")
+        for stage, codes in self.skip_languages.items():
+            if (not isinstance(codes, (list, tuple, set, frozenset))
+                    or not all(isinstance(c, str) for c in codes)):
+                raise ValueError(f"skip_languages[{stage!r}] must be a collection "
+                                 f"of language codes, got {codes!r}")
+        for stage, on in self.stages_enabled.items():
+            if not isinstance(on, bool):
+                raise ValueError(f"stages_enabled[{stage!r}] must be true or false, "
+                                 f"got {on!r}")
 
     def skips(self, stage: str) -> frozenset:
         return frozenset(self.skip_languages.get(stage, ()))

@@ -73,6 +73,23 @@ class TestFilter:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
 
+    def test_non_bool_stage_switch_is_usage_error(self, tiny_ckpt, data_dir,
+                                                  tmp_path, capsys):
+        # "no" is not JSON, so it arrives as a truthy string; with a model
+        # and a pivot given, the semantic stage could otherwise run
+        out = tmp_path / "never.jsonl"
+        rc = main([
+            "filter", "--in", str(data_dir / "train.jsonl"), "--out", str(out),
+            "--langid-seed", str(data_dir / "langid_seed.jsonl"),
+            "--model", str(tiny_ckpt), "--set", "semantic_pivot_lang=anu_Latn",
+            "--set", "filter.stages_enabled.quality_estimation=false",
+            "--set", "filter.stages_enabled.semantic=no",
+        ])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "semantic" in err["message"]
+
     def test_langid_stage_requires_seed(self, data_dir, tmp_path):
         rc = main(["filter", "--in", str(data_dir / "train.jsonl"),
                    "--out", str(tmp_path / "x.jsonl")])

@@ -19,7 +19,7 @@ from minimt.compress import (
 )
 from minimt.corpus import ParallelRecord, SplitSpec
 from minimt.decode import translate_records
-from minimt.model import ModelConfig, init_model
+from minimt.model import ModelConfig, init_model, remove_layers
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
 from minimt.training import TrainConfig
@@ -126,6 +126,55 @@ class TestLayerImportance:
         b = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
         assert a == b
 
+    def test_every_candidate_scores_like_its_oracle(self, setup, monkeypatch):
+        import minimt.compress as compress_mod
+        from minimt.compress import mean_dev_chrf, _dev_sets
+
+        model, corpus = setup
+        dev_sets = _dev_sets(cfg(), corpus.dev)
+        hyps = []
+
+        def recording_translate(*args, **kwargs):
+            hyps.append(translate_records(*args, **kwargs))
+            return hyps[-1]
+
+        monkeypatch.setattr(compress_mod, "translate_records", recording_translate)
+        scores = layer_importance_eval(model, ["encoder", "decoder"], dev_sets,
+                                       beam_size=1, max_len=40)
+        monkeypatch.undo()
+        assert len(scores) == 2 + 4
+        # the untrained model's scores are near 0, so compare the
+        # hypotheses too (one call per candidate and direction, in order)
+        assert any(h for hs in hyps for h in hs)
+        oracle_hyps = []
+        for (side, idx), score in scores.items():
+            candidate = remove_layers(model, side, {idx})
+            assert score == mean_dev_chrf(candidate, dev_sets, beam_size=1,
+                                          max_len=40), (side, idx)
+            oracle_hyps += [translate_records(candidate, dev_sets[d], 1, 40)
+                            for d in sorted(dev_sets)]
+        assert hyps == oracle_hyps
+
+    @pytest.mark.parametrize("sides, encodes_per_direction", [
+        (["decoder"], 1), (["encoder", "decoder"], 2 + 1)])
+    def test_decoder_candidates_share_one_encode_per_direction(
+            self, setup, monkeypatch, sides, encodes_per_direction):
+        import minimt.decode as decode_mod
+        from minimt.compress import _dev_sets
+
+        model, corpus = setup
+        dev_sets = _dev_sets(cfg(), corpus.dev)
+        calls = []
+        encode_np = decode_mod.encode_np
+
+        def counting_encode_np(*args):
+            calls.append(args)
+            return encode_np(*args)
+
+        monkeypatch.setattr(decode_mod, "encode_np", counting_encode_np)
+        layer_importance_eval(model, sides, dev_sets, beam_size=1, max_len=40)
+        assert len(calls) == encodes_per_direction * len(dev_sets)
+
     def test_single_layer_side_rejected(self, setup):
         from minimt.compress import _dev_sets
 
@@ -177,6 +226,21 @@ class TestIterativePrune:
                                     importance_fn=stub)
         assert report.removal_sequence() == [("decoder", 1)]
         assert report.iterations[0].tie
+
+    @pytest.mark.parametrize("n, sides", [(4, "decoder"), (5, "decoder"),
+                                          (2, "encoder+decoder")])
+    def test_n_not_below_layer_count_fails_before_any_pass(self, setup, n, sides):
+        model, corpus = setup
+        calls = []
+
+        def stub(*args):
+            calls.append(args)
+            raise AssertionError("importance pass ran")
+
+        with pytest.raises(ValueError, match="cannot remove"):
+            iterative_prune(model, cfg(n=n, sides=sides), corpus.dev,
+                            importance_fn=stub)
+        assert calls == []
 
     def test_n_zero_returns_unchanged_model_and_empty_report(self, setup):
         model, corpus = setup

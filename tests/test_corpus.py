@@ -1,18 +1,14 @@
 import json
-import math
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimt.corpus import (
     CorpusFormatError,
-    CorpusManifest,
     ParallelRecord,
     dedup_exact,
-    downsample,
     read_corpus,
     reverse_directions,
     split_key,
@@ -124,58 +120,3 @@ class TestReverse:
     def test_size_doubling(self, n):
         records = [rec(src=f"s{i}", tgt=f"t{i}") for i in range(n)]
         assert len(reverse_directions(records)) == 2 * n
-
-
-class TestDownsample:
-    def make(self, n):
-        return [rec(src=f"sentence number {i}", tgt=f"t{i}") for i in range(n)]
-
-    def test_cap_above_count_is_identity(self):
-        records = self.make(10)
-        assert downsample(records, 100, seed=1) == records
-
-    def test_exact_cap_and_determinism(self):
-        records = self.make(1000)
-        a = downsample(records, 200, seed=42)
-        b = downsample(records, 200, seed=42)
-        assert len(a) == 200
-        assert a == b
-        assert downsample(records, 200, seed=43) != a
-
-    def test_directions_under_cap_untouched(self):
-        big = self.make(50)
-        small = [rec(src=f"x{i}", tgt=f"y{i}", sl="bnu_Latn", tl="anu_Latn")
-                 for i in range(5)]
-        out = downsample(big + small, 10, seed=0)
-        assert sum(1 for r in out if r.direction == "bnu_Latn-anu_Latn") == 5
-        assert sum(1 for r in out if r.direction == "anu_Latn-bnu_Latn") == 10
-
-    def test_inclusion_frequency_within_binomial_bound(self):
-        # marginal inclusion probability is cap/n for every record; over many
-        # reseeded trials each record's frequency stays within 5 sigma
-        records = self.make(50)
-        cap, trials = 10, 400
-        counts = np.zeros(50)
-        for t in range(trials):
-            kept = downsample(records, cap, seed=t)
-            for r in kept:
-                counts[int(r.tgt[1:])] += 1
-        p = cap / 50
-        sigma = math.sqrt(p * (1 - p) / trials)
-        freq = counts / trials
-        assert np.max(np.abs(freq - p)) < 5 * sigma
-
-
-class TestManifest:
-    def test_counts_telescope_validation(self):
-        records = [rec(src=f"s{i}", tgt=f"t{i}") for i in range(10)]
-        manifest = CorpusManifest.from_stages(records, records[:8], records[:5],
-                                              provenance=["unit"], cap=5)
-        obj = json.loads(manifest.to_json())
-        counts = obj["directions"]["anu_Latn-bnu_Latn"]
-        assert (counts["initial"], counts["processed"], counts["sampled"]) == (10, 8, 5)
-
-    def test_invalid_counts_rejected(self):
-        from minimt.corpus import DirectionCounts
-        with pytest.raises(ValueError):
-            DirectionCounts(initial=5, processed=8, sampled=2)

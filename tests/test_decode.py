@@ -9,6 +9,7 @@ from minimt.decode import (
     NonFiniteLogitsError,
     _ModelStepper,
     beam_search_over_stepper,
+    encode_sources,
     forced_token_logprobs,
     full_decoder_logits_np,
     translate_batch,
@@ -204,6 +205,40 @@ class TestModelDecode:
             assert scores[0] <= scores[1] + 1e-12
             assert scores[1] <= scores[2] + 1e-12
 
+    @pytest.mark.parametrize("beam_size", [1, 3])
+    def test_given_encoding_decodes_like_a_fresh_one(self, model, beam_size):
+        items = [("abc", "anu_Latn", "bnu_Latn"),
+                 ("fedcba fed", "bnu_Latn", "anu_Latn")]
+        fresh = translate_batch(model, items, beam_size=beam_size, max_len=10)
+        given = translate_batch(model, items, beam_size=beam_size, max_len=10,
+                                encoded=encode_sources(model, items))
+        assert given == fresh
+        # a decoder layer's removal leaves the encoder as it was
+        pruned = remove_layers(model, DECODER, {1})
+        assert (translate_batch(pruned, items, beam_size=beam_size, max_len=10,
+                                encoded=encode_sources(model, items))
+                == translate_batch(pruned, items, beam_size=beam_size, max_len=10))
+
+    def test_encoding_of_other_sources_is_rejected(self, model):
+        items = [("abc", "anu_Latn", "bnu_Latn"), ("fed", "bnu_Latn", "anu_Latn")]
+        encoded = encode_sources(model, items)
+        for other in (items[:1], items[::-1],
+                      [("abc", "anu_Latn", "bnu_Latn"), ("fed", "bnu_Latn", "bnu_Latn")]):
+            with pytest.raises(ValueError, match="other sources"):
+                translate_batch(model, other, beam_size=1, max_len=8, encoded=encoded)
+
+    def test_encoding_by_other_encoder_weights_is_rejected(self, model):
+        items = [("abc", "anu_Latn", "bnu_Latn")]
+        encoded = encode_sources(model, items)
+        nudged = model.clone()
+        nudged.params["enc.1.ffn.b2"][0] += np.float32(1e-6)
+        flipped = model.clone()
+        flipped.params["embedding"][0, 0] = -flipped.params["embedding"][0, 0]
+        for other in (nudged, flipped, remove_layers(model, ENCODER, {0}),
+                      quantize_fp16(model)):
+            with pytest.raises(ValueError, match="other encoder weights"):
+                translate_batch(other, items, beam_size=1, max_len=8, encoded=encoded)
+
     def test_empty_batch(self, model):
         assert translate_batch(model, []) == []
 
@@ -252,11 +287,10 @@ def _stepper_logits(model, records, beam_size, rng, samples=None, drop=0.0):
     one sample are shuffled among themselves, which must not matter since
     they hold the same prefix. Returns {(sample, decoder position): logits
     (beam, vocab)} for every step each sample took part in."""
-    src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
-                                              model.config.max_positions)
+    _, _, dec_in, _ = build_batch(model.vocab, records, model.config.max_positions)
     live = list(range(len(records))) if samples is None else list(samples)
-    stepper = _ModelStepper(model, [list(src_ids[i, :src_len[i]]) for i in live],
-                            [records[i].tgt_lang for i in live], beam_size)
+    sources = [(records[i].src, records[i].src_lang, records[i].tgt_lang) for i in live]
+    stepper = _ModelStepper(model, encode_sources(model, sources), beam_size)
     logits = stepper.prime_logits()
     out = {}
     for position in range(1, dec_in.shape[1]):

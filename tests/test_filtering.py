@@ -225,6 +225,26 @@ class TestQualityEstimation:
             quality_estimation_filter(records, qe, FilterConfig())
 
 
+class TestConfig:
+    @pytest.mark.parametrize("skip", ["anu_Latn", ["anu_Latn", 3], 7])
+    def test_skip_languages_must_be_a_collection_of_codes(self, skip):
+        with pytest.raises(ValueError, match="semantic"):
+            FilterConfig(skip_languages={STAGE_SEMANTIC: skip})
+
+    @pytest.mark.parametrize("flag", ["no", 0, None])
+    def test_stages_enabled_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match="semantic"):
+            FilterConfig(stages_enabled={STAGE_SEMANTIC: flag})
+
+    def test_fingerprints_of_valid_configs_are_unchanged(self):
+        assert FilterConfig().fingerprint() == "c8cddca16938"
+        cfg = FilterConfig(threshold=0.5,
+                           skip_languages={STAGE_SEMANTIC: {"anu_Latn"},
+                                           STAGE_QE: ["bnu_Latn", "anu_Latn"]},
+                           stages_enabled={STAGE_SEMANTIC: False, STAGE_LANG: True})
+        assert cfg.fingerprint() == "6eba8bbc2693"
+
+
 class TestPipeline:
     def test_all_stages_disabled_is_identity(self):
         cfg = FilterConfig(stages_enabled={s: False for s in
