@@ -31,6 +31,12 @@ STRATEGY_ITERATIVE = "iterative"
 STRATEGY_MIDDLE = "middle"
 
 
+def _check_count(name: str, value) -> None:
+    """Decode settings are ints >= 1 (bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PruneConfig:
     n: int
@@ -50,6 +56,10 @@ class PruneConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.importance_directions:
             raise ValueError("importance_directions must be nonempty")
+        _check_count("importance_beam_size", self.importance_beam_size)
+        _check_count("max_len", self.max_len)
+        if self.importance_max_samples is not None:
+            _check_count("importance_max_samples", self.importance_max_samples)
 
     @property
     def side_list(self) -> list[str]:
@@ -296,8 +306,8 @@ class DistillConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        _check_count("beam_size", self.beam_size)
+        _check_count("max_len", self.max_len)
 
 
 def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,

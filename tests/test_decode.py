@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimt.decode import (
+    ROW_CHUNK,
     NonFiniteLogitsError,
     _ModelStepper,
     beam_search_over_stepper,
+    encode_np,
     encode_sources,
     forced_token_logprobs,
     full_decoder_logits_np,
@@ -19,9 +21,13 @@ from minimt.model import (
     ENCODER,
     ModelConfig,
     build_batch,
+    compute_params,
+    decode_batch,
     decoder_start_ids,
+    encode_batch,
     encoder_input_ids,
     init_model,
+    pad_bias,
     quantize_fp16,
     remove_layers,
 )
@@ -358,3 +364,59 @@ def test_stepper_rows_do_not_depend_on_the_batch(n_enc, n_dec, n_heads, beam_siz
                                drop=0.3)
         for key in part.keys() & whole.keys():
             assert np.array_equal(part[key], whole[key]), key
+
+
+def _unchunked_pass(model, records):
+    """Oracle: encoder output, logits and per-record forced log-probs from
+    one encode_batch/decode_batch pass over the whole batch, with
+    log-softmax written out on np.max."""
+    src_ids, src_len, dec_in, dec_tgt = build_batch(model.vocab, records,
+                                                    model.config.max_positions)
+    w = compute_params(model)
+    bias = pad_bias(src_len, src_ids.shape[1])
+    enc = encode_batch(w, model.config, src_ids, bias)
+    logits = decode_batch(w, model.config, enc, dec_in, bias)
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    forced = np.zeros(len(records), dtype=np.float64)
+    for i in range(len(records)):
+        keep = dec_tgt[i] != model.vocab.pad
+        forced[i] = logp[i, np.arange(dec_tgt.shape[1]), dec_tgt[i]][keep].mean()
+    return enc, logits, forced
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_chunked_passes_equal_one_unchunked_pass(seed):
+    """encode_np, full_decoder_logits_np and forced_token_logprobs run in
+    ROW_CHUNK-row chunks; over 2 * ROW_CHUNK + 3 rows of unequal lengths
+    they equal one pass over the whole batch byte for byte, for the model
+    as built, after layer removal and after fp16 storage."""
+    rng = np.random.default_rng(seed)
+    words = ["".join(rng.choice(list("abcdef "), rng.integers(1, 10)))
+             for _ in range(2 * (2 * ROW_CHUNK + 3))]
+    records = _records([(words[2 * i], words[2 * i + 1], LANGS[i % 2])
+                        for i in range(2 * ROW_CHUNK + 3)])
+    for model in _tiny_models(2, 3, 2, 16, seed):
+        want_enc, want_logits, want_forced = _unchunked_pass(model, records)
+        src_ids, src_len, dec_in, _ = build_batch(model.vocab, records,
+                                                  model.config.max_positions)
+        enc, _ = encode_np(compute_params(model), model.config, src_ids, src_len)
+        logits = full_decoder_logits_np(model, src_ids, src_len, dec_in)
+        forced = forced_token_logprobs(model, records)
+        for got, want in ((enc, want_enc), (logits, want_logits),
+                          (forced, want_forced)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_empty_batch_passes():
+    """Zero rows give zero-row outputs; forced scoring of no records raises
+    (build_batch has no width to pad to)."""
+    m = _tiny_models(1, 1, 1, 8, 0)[0]
+    src_ids, src_len = np.zeros((0, 5), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    enc, bias = encode_np(compute_params(m), m.config, src_ids, src_len)
+    assert (enc.shape, bias.shape) == ((0, 5, 8), (0, 1, 1, 5))
+    logits = full_decoder_logits_np(m, src_ids, src_len, np.zeros((0, 3), dtype=np.int64))
+    assert (logits.shape, logits.dtype) == ((0, 3, len(m.vocab)), np.float32)
+    with pytest.raises(ValueError):
+        forced_token_logprobs(m, [])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from minimt.filtering import (
     STAGE_SEMANTIC,
     FilterConfig,
     ScorerSet,
+    ScorerTimeoutError,
     SubprocessScorer,
     langid_scorers,
     language_detection_filter,
@@ -341,6 +343,15 @@ STUBBORN_SCORER = (
 )
 
 
+SLEEPY_SCORER = (
+    "import sys, time\n"
+    "sys.stdin.readline()\n"
+    "print('0.5', flush=True)\n"
+    "sys.stdin.readline()\n"
+    "time.sleep(60)\n"
+)
+
+
 class TestSubprocessScorer:
     def test_line_protocol_roundtrip(self):
         with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
@@ -368,6 +379,18 @@ class TestSubprocessScorer:
                               name="wordy") as scorer:
             with pytest.raises(ValueError, match=r"wordy: .*'high' for record 1"):
                 scorer.score_batch(records)
+
+    def test_read_deadline_kills_a_silent_scorer(self, monkeypatch):
+        monkeypatch.setattr(filtering, "READ_TIMEOUT_S", 0.5)
+        records = [rec("long enough", "tgt text"), rec("abc", "tgt text")]
+        scorer = SubprocessScorer([sys.executable, "-c", SLEEPY_SCORER], name="sleepy")
+        start = time.monotonic()
+        with pytest.raises(ScorerTimeoutError, match=r"sleepy: .*record 1") as info:
+            scorer.score_batch(records)
+        assert time.monotonic() - start < 10
+        assert isinstance(info.value, TimeoutError)
+        assert scorer._proc.poll() is not None
+        scorer.close()
 
     def test_close_kills_a_scorer_that_outlives_the_timeout(self, monkeypatch):
         monkeypatch.setattr(filtering, "CLOSE_TIMEOUT_S", 0.5)

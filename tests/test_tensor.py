@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from minimt.tensor import (
     backward,
     cross_entropy,
     embedding,
+    fast_max,
     layer_norm,
     matmul,
     mul,
@@ -155,6 +157,80 @@ class TestLayerNorm:
                 num = _finite_diff(loss, t, h=1e-3)
                 rel = np.abs(t.grad - num) / np.maximum(np.abs(num), 1e-4)
                 assert np.max(rel) < 1e-3
+
+
+def _mean_layer_norm(x, g, b, dy, epsilon=1e-5):
+    """Oracle: layer norm with ndarray.mean, as first written. Returns the
+    output and the gradients of sum(out * dy) w.r.t. x, g and b."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + epsilon)
+    xhat = centered * inv
+    dxhat = dy * g
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    return (xhat * g + b, inv * (dxhat - m1 - xhat * m2),
+            (dy * xhat).reshape(-1, d).sum(axis=0), dy.reshape(-1, d).sum(axis=0))
+
+
+class TestLayerNormBytes:
+    """layer_norm's sum / d means give the .mean formulation's bytes."""
+
+    @pytest.mark.parametrize("d", [5, 24, 29, 32, 33, 48, 64])
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_output_and_gradients_equal_the_mean_oracle(self, d, shadow):
+        dtype = np.float64 if shadow else np.float32
+        r = Rng(d)
+        x_, g_, b_, dy = (r.normal(shape, std=2.0, dtype=dtype)
+                          for shape in ((3, 7, d), (d,), (d,), (3, 7, d)))
+        x, g, b = (Tensor(a, requires_grad=True) for a in (x_, g_, b_))
+        with shadow_float64() if shadow else contextlib.nullcontext():
+            out = layer_norm(x, g, b)
+            backward(sum_all(out * dy))
+        want = _mean_layer_norm(x_, g_, b_, dy)
+        for got, expected in zip((out.data, x.grad, g.grad, b.grad), want):
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+        assert layer_norm(x_, g_, b_).tobytes() == want[0].tobytes()
+
+
+class TestFastMax:
+    """fast_max equals np.max(x, axis, keepdims=True) byte for byte."""
+
+    SHAPES = [(1,), (9,), (1, 1), (1, 9), (9, 1), (5, 29), (3, 4, 1, 10),
+              (2, 3, 7, 7), (4, 0, 3)]
+    SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0]
+
+    def _check(self, x):
+        for axis in range(-x.ndim, x.ndim):
+            if x.shape[axis] == 0:
+                for op in (np.max, fast_max):
+                    with pytest.raises(ValueError):
+                        op(x, axis)
+                continue
+            want = np.max(x, axis=axis, keepdims=True)
+            got = fast_max(x, axis)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes(), (x, axis)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_axis(self, dtype):
+        rng = np.random.default_rng(0)
+        for shape in self.SHAPES:
+            x = rng.standard_normal(shape).astype(dtype)
+            self._check(x)
+            self._check(x.T)  # a non-contiguous view
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_infinities_and_signed_zeros(self, dtype):
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 8, 17, 40):
+            self._check(rng.choice(self.SPECIAL, size=(6, n)).astype(dtype))
+            self._check(rng.choice([0.0, -0.0], size=(5, n)).astype(dtype))
+            self._check(rng.choice([0.0, -0.0, -1.0, -np.inf],
+                                   size=(2, 3, n)).astype(dtype))
 
 
 class TestCrossEntropy:
