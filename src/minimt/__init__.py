@@ -31,9 +31,7 @@ from .compress import (
 from .corpus import (
     ParallelRecord,
     SplitSpec,
-    dedup_exact,
     read_corpus,
-    reverse_directions,
     write_corpus,
 )
 from .decode import BeamResult, encode_sources, translate_batch, translate_records

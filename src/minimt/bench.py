@@ -80,6 +80,8 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     """Decode a record list in token-budget batches. The first
     warmup_batches batches are decoded once untimed, then every batch is
     decoded inside the timed window."""
+    if warmup_batches < 0:
+        raise ValueError(f"warmup_batches must be at least 0, got {warmup_batches}")
     clock = clock or time.monotonic
     batches = batch_by_tokens(records, cfg.batch_token_budget,
                               encoder_token_count(model.vocab))

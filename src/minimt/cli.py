@@ -1,11 +1,11 @@
 """Command-line surface: reproducible runs over JSON configs.
 
 Every subcommand but quantize and report reads an optional JSON config
-(fields overridable with repeated --set dotted.path=value flags), validates
-it before touching any output, runs the corresponding pipeline, and
-publishes its artifacts plus a RunManifest all-or-nothing through
-reports.publish. Exit codes: 0 success, 2 usage/config error, 3 runtime
-failure; failures print a JSON error record to stderr.
+(fields overridable with repeated --set dotted.path=value flags) and
+validates it before touching any output. All but report then run through
+_run, which times the work and publishes its artifacts plus a RunManifest
+all-or-nothing through reports.publish. Exit codes: 0 success, 2
+usage/config error, 3 runtime failure; errors print JSON to stderr.
 
 The MINIMT_CONFIG_DIR environment variable supplies the directory against
 which bare config file names are resolved.
@@ -14,6 +14,7 @@ which bare config file names are resolved.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -134,17 +135,23 @@ def _build(cls, obj: dict, what: str):
         raise ConfigError(f"invalid {what} config: {e}") from None
 
 
-def _manifest(command: str, cfg: dict, seed) -> RunManifest:
-    return RunManifest(command=command, config=cfg, seed=seed,
-                       toolkit_version=__version__)
-
-
-def _publish(manifest: RunManifest, manifest_path: str, files: dict):
-    """Record each output's hash in the manifest, then publish the outputs
-    and the manifest together."""
+def _run(command: str, cfg: dict, seed, inputs, manifest_path: str, work) -> int:
+    """The run lifecycle of every manifest-writing subcommand: hash the
+    input files, time work(), which returns the {path: bytes | str} outputs,
+    then publish the outputs and a RunManifest of their hashes together.
+    timings["wall_seconds"] covers all of work(), building the output bytes
+    included."""
+    manifest = RunManifest(command=command, config=cfg, seed=seed,
+                           toolkit_version=__version__)
+    for path in inputs:
+        manifest.add_input(path)
+    t0 = time.monotonic()
+    files = work()
+    manifest.timings["wall_seconds"] = time.monotonic() - t0
     for path, data in files.items():
         manifest.add_output(path, data)
     publish({**files, manifest_path: manifest.to_json()})
+    return EXIT_OK
 
 
 def _read(path):
@@ -170,26 +177,26 @@ def cmd_gen_data(args) -> int:
         "seed": seed,
     }, "split")
     noise = _build(NoiseRates, cfg.get("noise_rates", {}), "noise")
+    langid_seed_size = _number(int, cfg, "langid_seed_size", 80)
     spec = ToyLanguageSpec()
-    manifest = _manifest("gen-data", cfg, seed)
 
-    t0 = time.monotonic()
-    corpus = generate_synthetic_corpus(spec, sizes, noise, seed)
-    seeds = langid_seed_corpus(spec, _number(int, cfg, "langid_seed_size", 80), seed)
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
+    def work():
+        corpus = generate_synthetic_corpus(spec, sizes, noise, seed)
+        seeds = langid_seed_corpus(spec, langid_seed_size, seed)
+        files = {os.path.join(args.out_dir, f"{split}.jsonl"):
+                 corpus_jsonl(getattr(corpus, split))
+                 for split in ("train", "dev", "devtest")}
+        # ground-truth noise flags, sidecar only (never read by the pipeline)
+        files[os.path.join(args.out_dir, "train_flags.jsonl")] = "".join(
+            json.dumps({"index": i, "flags": sorted(r.flags)}) + "\n"
+            for i, r in enumerate(corpus.train) if r.flags)
+        files[os.path.join(args.out_dir, "langid_seed.jsonl")] = "".join(
+            json.dumps({"lang": lang, "text": s}) + "\n"
+            for lang in sorted(seeds) for s in seeds[lang])
+        return files
 
-    files = {os.path.join(args.out_dir, f"{split}.jsonl"):
-             corpus_jsonl(getattr(corpus, split))
-             for split in ("train", "dev", "devtest")}
-    # ground-truth noise flags, sidecar only (never read by the pipeline)
-    files[os.path.join(args.out_dir, "train_flags.jsonl")] = "".join(
-        json.dumps({"index": i, "flags": sorted(r.flags)}) + "\n"
-        for i, r in enumerate(corpus.train) if r.flags)
-    files[os.path.join(args.out_dir, "langid_seed.jsonl")] = "".join(
-        json.dumps({"lang": lang, "text": s}) + "\n"
-        for lang in sorted(seeds) for s in seeds[lang])
-    _publish(manifest, os.path.join(args.out_dir, "manifest.json"), files)
-    return EXIT_OK
+    return _run("gen-data", cfg, seed, [],
+                os.path.join(args.out_dir, "manifest.json"), work)
 
 
 def _load_langid_seed(path) -> dict[str, list[str]]:
@@ -232,20 +239,15 @@ def cmd_filter(args) -> int:
             model, midpoint=_number(float, qe_cfg, "midpoint", -1.5),
             scale=_number(float, qe_cfg, "scale", 0.5))
 
-    manifest = _manifest("filter", cfg, None)
-    manifest.add_input(args.infile)
     records = _read(args.infile)
 
-    t0 = time.monotonic()
-    kept, report = run_pipeline(records, fc, scorers)
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
+    def work():
+        kept, report = run_pipeline(records, fc, scorers)
+        return {args.out: corpus_jsonl(kept),
+                args.report or args.out + ".filter_report.json": report.to_json()}
 
-    report_path = args.report or args.out + ".filter_report.json"
-    _publish(manifest, args.out + ".manifest.json", {
-        args.out: corpus_jsonl(kept),
-        report_path: report.to_json(),
-    })
-    return EXIT_OK
+    return _run("filter", cfg, None, [args.infile], args.out + ".manifest.json",
+                work)
 
 
 def cmd_train(args) -> int:
@@ -261,30 +263,24 @@ def cmd_train(args) -> int:
     mc = _build(ModelConfig, {**cfg.get("model", {}), "vocab_size": len(vocab)},
                 "model")
 
-    manifest = _manifest("train", cfg, seed)
-    manifest.add_input(args.train_corpus)
-    manifest.add_input(args.dev_corpus)
+    def work():
+        model = init_model(mc, vocab, Rng(seed), metadata={"seed": str(seed)})
+        best, log = train(model, train_records, dev_records, tc)
+        best.metadata["stage"] = "trained"
+        log_text = json.dumps({
+            "stop_reason": log.stop_reason,
+            "optimizer_steps": log.optimizer_steps,
+            "best_step": log.best_step,
+            "best_dev_loss": log.best_dev_loss,
+            "evaluations": [{"step": e.step, "epoch": e.epoch,
+                             "dev_loss": e.dev_loss, "improved": e.improved}
+                            for e in log.entries],
+        }, indent=2)
+        return {args.out: checkpoint_bytes(best),
+                args.out + ".train_log.json": log_text}
 
-    t0 = time.monotonic()
-    model = init_model(mc, vocab, Rng(seed), metadata={"seed": str(seed)})
-    best, log = train(model, train_records, dev_records, tc)
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
-
-    best.metadata["stage"] = "trained"
-    log_text = json.dumps({
-        "stop_reason": log.stop_reason,
-        "optimizer_steps": log.optimizer_steps,
-        "best_step": log.best_step,
-        "best_dev_loss": log.best_dev_loss,
-        "evaluations": [{"step": e.step, "epoch": e.epoch,
-                         "dev_loss": e.dev_loss, "improved": e.improved}
-                        for e in log.entries],
-    }, indent=2)
-    _publish(manifest, args.out + ".manifest.json", {
-        args.out: checkpoint_bytes(best),
-        args.out + ".train_log.json": log_text,
-    })
-    return EXIT_OK
+    return _run("train", cfg, seed, [args.train_corpus, args.dev_corpus],
+                args.out + ".manifest.json", work)
 
 
 def cmd_distill(args) -> int:
@@ -293,17 +289,10 @@ def cmd_distill(args) -> int:
     teacher = load_checkpoint(args.teacher)
     authentic = _read(args.corpus)
 
-    manifest = _manifest("distill", cfg, None)
-    manifest.add_input(args.teacher)
-    manifest.add_input(args.corpus)
-
-    t0 = time.monotonic()
-    kd = distill(teacher, authentic, dc, authentic)
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
-
-    _publish(manifest, args.out + ".manifest.json",
-             {args.out: corpus_jsonl(kd)})
-    return EXIT_OK
+    return _run("distill", cfg, None, [args.teacher, args.corpus],
+                args.out + ".manifest.json",
+                lambda: {args.out: corpus_jsonl(distill(teacher, authentic, dc,
+                                                        authentic))})
 
 
 def cmd_prune(args) -> int:
@@ -316,115 +305,96 @@ def cmd_prune(args) -> int:
         prune_cfg_obj["n"] = args.n
     if args.side:
         prune_cfg_obj["sides"] = args.side
-    if "importance_directions" not in prune_cfg_obj:
-        prune_cfg_obj["importance_directions"] = sorted(
-            {(r.src_lang, r.tgt_lang) for r in dev_records})
-    else:
-        prune_cfg_obj["importance_directions"] = [
-            tuple(d) for d in prune_cfg_obj["importance_directions"]]
+    prune_cfg_obj["importance_directions"] = [tuple(d) for d in prune_cfg_obj.get(
+        "importance_directions",
+        sorted({(r.src_lang, r.tgt_lang) for r in dev_records}))]
     pc = _build(PruneConfig, prune_cfg_obj, "prune")
 
     model = load_checkpoint(args.ckpt)
-    manifest = _manifest("prune", cfg, None)
-    manifest.add_input(args.ckpt)
-    manifest.add_input(args.dev)
 
-    t0 = time.monotonic()
-    if pc.strategy == "iterative":
-        pruned, report = iterative_prune(model, pc, dev_records)
-    else:
-        pruned, report = middle_prune(model, pc)
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
+    def work():
+        if pc.strategy == "iterative":
+            pruned, report = iterative_prune(model, pc, dev_records)
+        else:
+            pruned, report = middle_prune(model, pc)
+        pruned.metadata.update({"stage": "pruned", "parent": model.fingerprint()})
+        return {args.out: checkpoint_bytes(pruned),
+                args.report or args.out + ".prune_report.json": report.to_json()}
 
-    pruned.metadata.update({"stage": "pruned", "parent": model.fingerprint()})
-    report_path = args.report or args.out + ".prune_report.json"
-    _publish(manifest, args.out + ".manifest.json", {
-        args.out: checkpoint_bytes(pruned),
-        report_path: report.to_json(),
-    })
-    return EXIT_OK
+    return _run("prune", cfg, None, [args.ckpt, args.dev],
+                args.out + ".manifest.json", work)
 
 
 def cmd_quantize(args) -> int:
     model = load_checkpoint(args.ckpt)
-    manifest = _manifest("quantize", {}, None)
-    manifest.add_input(args.ckpt)
-    q = quantize_fp16(model)
-    q.metadata.update({"stage": "fp16", "parent": model.fingerprint()})
-    _publish(manifest, args.out + ".manifest.json",
-             {args.out: checkpoint_bytes(q)})
-    return EXIT_OK
+
+    def work():
+        q = quantize_fp16(model)
+        q.metadata.update({"stage": "fp16", "parent": model.fingerprint()})
+        return {args.out: checkpoint_bytes(q)}
+
+    return _run("quantize", {}, None, [args.ckpt], args.out + ".manifest.json",
+                work)
 
 
-def _group_by_direction(records):
-    groups: dict[str, list] = {}
-    for r in records:
-        groups.setdefault(r.direction, []).append(r)
-    return groups
+def _decode_setup(args, cfg):
+    """What evaluate and bench share: the decode config, the checkpoint and
+    a test set that must not be empty."""
+    dc = _build(DecodeConfig, cfg.get("decode", {}), "decode")
+    model = load_checkpoint(args.ckpt)
+    testset = _read(args.testset)
+    if not testset:
+        raise ConfigError("testset is empty")
+    return dc, model, testset
 
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.set)
-    dc = _build(DecodeConfig, cfg.get("decode", {}), "decode")
-    model = load_checkpoint(args.ckpt)
-    testset = _read(args.testset)
-    if not testset:
-        raise ConfigError("testset is empty")
+    dc, model, testset = _decode_setup(args, cfg)
 
-    manifest = _manifest("evaluate", cfg, None)
-    manifest.add_input(args.ckpt)
-    manifest.add_input(args.testset)
+    def work():
+        groups: dict[str, list] = {}
+        for r in testset:
+            groups.setdefault(r.direction, []).append(r)
+        report = EvalReport(rows=[evaluate_direction(model, groups[d], dc)
+                                  for d in sorted(groups)])
+        files = {args.out: report.to_json()}
+        if args.csv:
+            files[args.csv] = report.to_csv()
+        return files
 
-    t0 = time.monotonic()
-    report = EvalReport()
-    groups = _group_by_direction(testset)
-    for direction in sorted(groups):
-        report.rows.append(evaluate_direction(model, groups[direction], dc))
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
-
-    files = {args.out: report.to_json()}
-    if args.csv:
-        files[args.csv] = report.to_csv()
-    _publish(manifest, args.out + ".manifest.json", files)
-    return EXIT_OK
+    return _run("evaluate", cfg, None, [args.ckpt, args.testset],
+                args.out + ".manifest.json", work)
 
 
 def cmd_bench(args) -> int:
     cfg = load_config(args.config, args.set)
-    dc = _build(DecodeConfig, cfg.get("decode", {}), "decode")
     repetitions = _number(int, cfg, "repetitions", 3)
     warmup = _number(int, cfg, "warmup_batches", 1)
-    model = load_checkpoint(args.ckpt)
-    testset = _read(args.testset)
-    if not testset:
-        raise ConfigError("testset is empty")
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
+    if warmup < 0:
+        raise ConfigError(f"warmup_batches must be at least 0, got {warmup}")
+    dc, model, testset = _decode_setup(args, cfg)
 
-    manifest = _manifest("bench", cfg, None)
-    manifest.add_input(args.ckpt)
-    manifest.add_input(args.testset)
+    def work():
+        runs = [bench_throughput(model, testset, dc, warmup_batches=warmup)
+                for _ in range(repetitions)]
+        return {args.out: json.dumps({
+            "model_id": model.model_id(),
+            "decode": dataclasses.asdict(dc),
+            "repetitions": [{
+                "tokens_per_second": r.tokens_per_second,
+                "timed_seconds": r.timed_seconds,
+                "total_seconds": r.total_seconds,
+                "output_tokens": r.output_tokens,
+            } for r in runs],
+            "median_tokens_per_second": statistics.median(
+                r.tokens_per_second for r in runs),
+        }, indent=2, sort_keys=True)}
 
-    runs = []
-    t0 = time.monotonic()
-    for _ in range(repetitions):
-        runs.append(bench_throughput(model, testset, dc, warmup_batches=warmup))
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
-
-    bench_text = json.dumps({
-        "model_id": model.model_id(),
-        "decode": {"beam_size": dc.beam_size,
-                   "batch_token_budget": dc.batch_token_budget,
-                   "max_output_length": dc.max_output_length},
-        "repetitions": [{
-            "tokens_per_second": r.tokens_per_second,
-            "timed_seconds": r.timed_seconds,
-            "total_seconds": r.total_seconds,
-            "output_tokens": r.output_tokens,
-        } for r in runs],
-        "median_tokens_per_second": statistics.median(
-            r.tokens_per_second for r in runs),
-    }, indent=2, sort_keys=True)
-    _publish(manifest, args.out + ".manifest.json", {args.out: bench_text})
-    return EXIT_OK
+    return _run("bench", cfg, None, [args.ckpt, args.testset],
+                args.out + ".manifest.json", work)
 
 
 def cmd_report(args) -> int:

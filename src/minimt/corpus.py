@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .reports import publish
 from .vocab import validate_lang_code
@@ -54,19 +54,6 @@ def dedup_key(record: ParallelRecord) -> tuple[str, str]:
 
 def split_key(record: ParallelRecord) -> tuple[str, str, str, str]:
     return (record.src_lang, record.tgt_lang, record.src, record.tgt)
-
-
-def dedup_exact(records) -> list[ParallelRecord]:
-    """Keep the first occurrence of each exact (src, tgt) pair."""
-    seen = set()
-    out = []
-    for r in records:
-        k = dedup_key(r)
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(r)
-    return out
 
 
 @dataclass
@@ -161,15 +148,6 @@ def corpus_jsonl(records) -> str:
 def write_corpus(records, path) -> str:
     """Canonical JSONL, atomically written."""
     return publish({path: corpus_jsonl(records)})[0]
-
-
-def reverse_directions(records) -> list[ParallelRecord]:
-    """Original records plus their swapped copies; output is exactly 2x."""
-    out = list(records)
-    for r in records:
-        out.append(replace(r, src_lang=r.tgt_lang, tgt_lang=r.src_lang,
-                           src=r.tgt, tgt=r.src))
-    return out
 
 
 @dataclass(frozen=True)

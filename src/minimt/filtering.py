@@ -9,6 +9,7 @@ stripping in stage 1, and it is counted.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -257,13 +258,19 @@ class ScorerTimeoutError(TimeoutError):
     a record; the scorer has been killed."""
 
 
+class ScorerExitedError(RuntimeError):
+    """An external scorer exited, or closed its output, before scoring every
+    record; the scorer has been reaped."""
+
+
 class SubprocessScorer:
     """External scorer over a line protocol: one JSON record per line in, one
     decimal score in [0, 1] per line out, strict one-in-one-out ordering.
     Each record is written and its score read before the next is written, so
     neither pipe can fill up and deadlock the two processes. A score that
     does not arrive within READ_TIMEOUT_S kills and reaps the scorer and
-    raises ScorerTimeoutError."""
+    raises ScorerTimeoutError; a scorer that exits early is reaped and
+    raises ScorerExitedError."""
 
     def __init__(self, command: list[str], name: str = "subprocess"):
         self.name = name
@@ -291,8 +298,11 @@ class SubprocessScorer:
                 "src_lang": record.src_lang, "tgt_lang": record.tgt_lang,
                 "src": record.src, "tgt": record.tgt, "origin": record.origin,
             }, ensure_ascii=False)
-            self._proc.stdin.write(payload + "\n")
-            self._proc.stdin.flush()
+            try:
+                self._proc.stdin.write(payload + "\n")
+                self._proc.stdin.flush()
+            except BrokenPipeError:
+                raise self._exited(i) from None
             try:
                 line = self._lines.get(timeout=READ_TIMEOUT_S)
             except queue.Empty:
@@ -302,7 +312,7 @@ class SubprocessScorer:
                     f"{self.name}: no score for record {i} within "
                     f"{READ_TIMEOUT_S} s; scorer killed") from None
             if not line:
-                raise RuntimeError(f"{self.name}: scorer process closed its output")
+                raise self._exited(i)
             try:
                 value = float(line.strip())
             except ValueError:
@@ -311,12 +321,25 @@ class SubprocessScorer:
             scores.append(_check_score(value, self.name))
         return scores
 
+    def _exited(self, i: int) -> ScorerExitedError:
+        """Reap a scorer that stopped answering at record i, killing it if
+        it is still running after CLOSE_TIMEOUT_S."""
+        try:
+            code = self._proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            code = self._proc.wait()
+        return ScorerExitedError(
+            f"{self.name}: scorer exited with code {code} before scoring record {i}")
+
     def close(self):
         """Close the scorer's input and wait for it to exit; a scorer still
         running after CLOSE_TIMEOUT_S is killed and reaped, and the timeout
         re-raised."""
         if self._proc.stdin:
-            self._proc.stdin.close()
+            # input a scorer that has already exited never read is dropped
+            with contextlib.suppress(BrokenPipeError):
+                self._proc.stdin.close()
         try:
             self._proc.wait(timeout=CLOSE_TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -137,9 +137,6 @@ class TranslationModel:
             self.precision, copy.deepcopy(self.metadata),
         )
 
-    def parameter_payload_bytes(self) -> int:
-        return sum(a.nbytes for a in self.params.values())
-
     def parameter_count(self) -> int:
         return sum(a.size for a in self.params.values())
 

@@ -216,6 +216,3 @@ class RunManifest:
             "toolkit_version": self.toolkit_version,
         }
         return json.dumps(obj, indent=2, sort_keys=True)
-
-    def write(self, path) -> str:
-        return publish({path: self.to_json()})[0]

@@ -115,6 +115,17 @@ class TestBench:
                                   clock=clock)
         assert result.total_seconds > result.timed_seconds
 
+    def test_negative_warmup_rejected_before_any_decode(self, model, monkeypatch):
+        import minimt.bench as bench_mod
+
+        calls = []
+        monkeypatch.setattr(bench_mod, "translate_batch",
+                            lambda *a, **k: calls.append(a))
+        cfg = DecodeConfig(beam_size=1, batch_token_budget=64, max_output_length=6)
+        with pytest.raises(ValueError, match="warmup_batches"):
+            decode_corpus(model, records(6), cfg, warmup_batches=-1)
+        assert calls == []
+
     def test_empty_testset_rejected(self, model):
         with pytest.raises(ValueError):
             bench_throughput(model, [], DecodeConfig())

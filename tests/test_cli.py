@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from minimt import __version__
 from minimt.checkpoint import load_checkpoint
 from minimt.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from minimt.reports import sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,17 @@ class TestEvaluateBenchReport:
         assert len(obj["repetitions"]) == 2
         assert obj["median_tokens_per_second"] >= 0
 
+    @pytest.mark.parametrize("setting", ["repetitions=0", "warmup_batches=-1"])
+    def test_bench_setting_it_cannot_honour_is_a_config_error(
+            self, tiny_ckpt, data_dir, tmp_path, capsys, setting):
+        rc = main(["bench", "--ckpt", str(tiny_ckpt), "--testset",
+                   str(data_dir / "devtest.jsonl"), "--out", str(tmp_path / "b.json"),
+                   "--set", "decode.beam_size=1", "--set", setting])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and setting.split("=")[0] in err["message"]
+
     def test_report_csv_conversion(self, tiny_ckpt, data_dir, tmp_path):
         src = tmp_path / "eval2.json"
         main(["evaluate", "--ckpt", str(tiny_ckpt), "--testset",
@@ -205,6 +218,76 @@ class TestEvaluateBenchReport:
         rc = main(["report", "--in", str(src), "--format", "csv", "--out", str(out)])
         assert rc == EXIT_OK
         assert out.exists()
+
+
+def _manifest_run(command, data, ckpt, out):
+    """(argv, input files, manifest path, output files) of one small run of
+    a manifest-writing subcommand that writes everything under out."""
+    decode = ["--set", "decode.beam_size=1", "--set", "decode.max_output_length=12"]
+    if command == "gen-data":
+        names = ("train.jsonl", "dev.jsonl", "devtest.jsonl", "train_flags.jsonl",
+                 "langid_seed.jsonl")
+        return (["--out-dir", out, "--set", "train_size=8", "--set", "dev_size=2",
+                 "--set", "devtest_size=2", "--set", "noise_rates.html=0.5"],
+                [], out / "manifest.json", [out / n for n in names])
+    if command == "filter":
+        return (["--in", data / "train.jsonl", "--out", out / "f.jsonl",
+                 "--langid-seed", data / "langid_seed.jsonl",
+                 "--set", "filter.stages_enabled.semantic=false",
+                 "--set", "filter.stages_enabled.quality_estimation=false"],
+                [data / "train.jsonl"], out / "f.jsonl.manifest.json",
+                [out / "f.jsonl", out / "f.jsonl.filter_report.json"])
+    if command == "train":
+        return (["--train-corpus", data / "dev.jsonl", "--dev-corpus",
+                 data / "devtest.jsonl", "--out", out / "t.ckpt",
+                 "--set", "model.d_model=8", "--set", "model.n_heads=2",
+                 "--set", "model.ffn_dim=8", "--set", "model.n_encoder_layers=1",
+                 "--set", "model.n_decoder_layers=1", "--set", "train.max_epochs=1"],
+                [data / "dev.jsonl", data / "devtest.jsonl"],
+                out / "t.ckpt.manifest.json",
+                [out / "t.ckpt", out / "t.ckpt.train_log.json"])
+    if command == "distill":
+        return (["--teacher", ckpt, "--corpus", data / "devtest.jsonl",
+                 "--out", out / "kd.jsonl", "--set", "distill.beam_size=1",
+                 "--set", "distill.max_len=12"],
+                [ckpt, data / "devtest.jsonl"], out / "kd.jsonl.manifest.json",
+                [out / "kd.jsonl"])
+    if command == "prune":
+        return (["--ckpt", ckpt, "--dev", data / "dev.jsonl", "--out", out / "p.ckpt",
+                 "--strategy", "middle", "--n", "1"],
+                [ckpt, data / "dev.jsonl"], out / "p.ckpt.manifest.json",
+                [out / "p.ckpt", out / "p.ckpt.prune_report.json"])
+    if command == "quantize":
+        return (["--ckpt", ckpt, "--out", out / "q.ckpt"],
+                [ckpt], out / "q.ckpt.manifest.json", [out / "q.ckpt"])
+    if command == "evaluate":
+        return (["--ckpt", ckpt, "--testset", data / "devtest.jsonl",
+                 "--out", out / "e.json", "--csv", out / "e.csv", *decode],
+                [ckpt, data / "devtest.jsonl"], out / "e.json.manifest.json",
+                [out / "e.json", out / "e.csv"])
+    assert command == "bench"
+    return (["--ckpt", ckpt, "--testset", data / "devtest.jsonl",
+             "--out", out / "b.json", "--set", "repetitions=1", *decode],
+            [ckpt, data / "devtest.jsonl"], out / "b.json.manifest.json",
+            [out / "b.json"])
+
+
+@pytest.mark.parametrize("command", ["gen-data", "filter", "train", "distill",
+                                     "prune", "quantize", "evaluate", "bench"])
+def test_manifest_records_command_inputs_outputs_and_wall_time(
+        command, data_dir, tiny_ckpt, tmp_path):
+    out = tmp_path / "out"
+    argv, inputs, manifest_path, outputs = _manifest_run(command, data_dir,
+                                                         tiny_ckpt, out)
+    assert main([command, *map(str, argv)]) == EXIT_OK
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert manifest["toolkit_version"] == __version__
+    assert manifest["inputs"] == {str(p): sha256_file(p) for p in inputs}
+    assert sorted(out.iterdir()) == sorted([*outputs, manifest_path])
+    assert manifest["outputs"] == {str(p): sha256_file(p) for p in outputs}
+    wall = manifest["timings"]["wall_seconds"]
+    assert isinstance(wall, float) and wall >= 0
 
 
 class TestErrors:

@@ -2,15 +2,11 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minimt.corpus import (
     CorpusFormatError,
     ParallelRecord,
-    dedup_exact,
     read_corpus,
-    reverse_directions,
     split_key,
     write_corpus,
 )
@@ -94,29 +90,3 @@ class TestReadWrite:
         write_corpus([rec(flags={"html"})], p)
         assert "html" not in p.read_text()
 
-
-class TestReverse:
-    def test_empty(self):
-        assert reverse_directions([]) == []
-
-    def test_one_record_and_its_mirror(self):
-        r = rec()
-        out = reverse_directions([r])
-        assert len(out) == 2
-        assert out[0] == r
-        m = out[1]
-        assert (m.src_lang, m.tgt_lang, m.src, m.tgt) == (
-            r.tgt_lang, r.src_lang, r.tgt, r.src)
-
-    def test_double_reverse_dedups_to_single_reverse(self):
-        records = [rec(src=f"s{i}", tgt=f"t{i}") for i in range(10)]
-        once = {split_key(r) for r in dedup_exact(reverse_directions(records))}
-        twice = {split_key(r)
-                 for r in dedup_exact(reverse_directions(reverse_directions(records)))}
-        assert once == twice
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=0, max_value=30))
-    def test_size_doubling(self, n):
-        records = [rec(src=f"s{i}", tgt=f"t{i}") for i in range(n)]
-        assert len(reverse_directions(records)) == 2 * n

@@ -15,6 +15,7 @@ from minimt.filtering import (
     STAGE_SEMANTIC,
     FilterConfig,
     ScorerSet,
+    ScorerExitedError,
     ScorerTimeoutError,
     SubprocessScorer,
     langid_scorers,
@@ -352,6 +353,14 @@ SLEEPY_SCORER = (
 )
 
 
+QUITTER_SCORER = (
+    "import sys\n"
+    "sys.stdin.readline()\n"
+    "print('0.5', flush=True)\n"
+    "sys.exit(3)\n"
+)
+
+
 class TestSubprocessScorer:
     def test_line_protocol_roundtrip(self):
         with SubprocessScorer([sys.executable, "-c", ECHO_SCORER]) as scorer:
@@ -398,3 +407,23 @@ class TestSubprocessScorer:
         with pytest.raises(subprocess.TimeoutExpired):
             scorer.close()
         assert scorer._proc.poll() is not None
+
+    def test_early_exit_names_scorer_record_and_exit_code(self):
+        # the next record's write may hit a closed pipe or its read the end
+        # of the output, depending on timing: both raise the same error
+        records = [rec("long enough", "tgt text")] * 3
+        with SubprocessScorer([sys.executable, "-c", QUITTER_SCORER],
+                              name="quitter") as scorer:
+            with pytest.raises(ScorerExitedError,
+                               match=r"^quitter: .*code 3 .*record 1$") as info:
+                scorer.score_batch(records)
+            assert isinstance(info.value, RuntimeError)
+            assert scorer._proc.poll() is not None
+
+    def test_write_to_an_exited_scorer_raises_the_named_error(self):
+        scorer = SubprocessScorer([sys.executable, "-c", "import sys; sys.exit(3)"],
+                                  name="gone")
+        scorer._proc.wait()
+        with pytest.raises(ScorerExitedError, match=r"^gone: .*code 3 .*record 0$"):
+            scorer.score_batch([rec("long enough", "tgt text")])
+        scorer.close()

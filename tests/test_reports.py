@@ -108,8 +108,8 @@ class TestRunManifest:
         out.write_text("payload")
         m = RunManifest(command="x", config={}, seed=None, toolkit_version="0.1.0")
         m.add_output(out, "payload")
-        path = m.write(tmp_path / "manifest.json")
-        obj = json.loads(open(path).read())
+        publish({tmp_path / "manifest.json": m.to_json()})
+        obj = json.loads((tmp_path / "manifest.json").read_text())
         assert obj["outputs"][str(out)] == sha256_file(out)
         assert obj["run_id"] == m.run_id
 
