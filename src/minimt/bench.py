@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .decode import translate_batch
+from .parallel import map_ordered
 from .vocab import detokenize, tokenize
 
 
@@ -78,29 +79,31 @@ class DecodeRun:
 def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
                   clock=None) -> DecodeRun:
     """Decode a record list in token-budget batches. The first
-    warmup_batches batches are decoded once untimed, then every batch is
-    decoded inside the timed window."""
+    warmup_batches batches are decoded once untimed, one after another,
+    then every batch is decoded inside the timed window, whole batches
+    spread over the CPUs by map_ordered (a row's output does not depend on
+    its batch, so neither does any byte of the run)."""
     if warmup_batches < 0:
         raise ValueError(f"warmup_batches must be at least 0, got {warmup_batches}")
     clock = clock or time.monotonic
     batches = batch_by_tokens(records, cfg.batch_token_budget,
                               encoder_token_count(model.vocab))
 
-    start_total = clock()
-    for batch in batches[:warmup_batches]:
-        translate_batch(model, [(r.src, r.src_lang, r.tgt_lang) for r in batch],
-                        cfg.beam_size, cfg.max_output_length)
-
-    hyps: list[str] = []
-    output_tokens = 0
-    start_timed = clock()
-    for batch in batches:
+    def decode(batch) -> list[tuple[str, int]]:
         results = translate_batch(
             model, [(r.src, r.src_lang, r.tgt_lang) for r in batch],
             cfg.beam_size, cfg.max_output_length)
-        for res in results:
-            output_tokens += len(res.tokens)
-            hyps.append(detokenize(res.tokens, model.vocab))
+        return [(detokenize(res.tokens, model.vocab), len(res.tokens))
+                for res in results]
+
+    start_total = clock()
+    for batch in batches[:warmup_batches]:
+        decode(batch)
+
+    start_timed = clock()
+    rows = [row for decoded in map_ordered(decode, batches) for row in decoded]
+    hyps = [hyp for hyp, _ in rows]
+    output_tokens = sum(n for _, n in rows)
     end = clock()
     return DecodeRun(
         hypotheses=hyps,

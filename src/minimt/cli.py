@@ -30,6 +30,7 @@ from .compress import (
     PruneReport,
     distill,
     iterative_prune,
+    layer_importance_eval,
     middle_prune,
 )
 from .corpus import SplitSpec, corpus_jsonl, read_corpus
@@ -135,19 +136,21 @@ def _build(cls, obj: dict, what: str):
         raise ConfigError(f"invalid {what} config: {e}") from None
 
 
-def _run(command: str, cfg: dict, seed, inputs, manifest_path: str, work) -> int:
+def _run(command: str, cfg: dict, seed, inputs, manifest_path: str, work,
+         timings: dict | None = None) -> int:
     """The run lifecycle of every manifest-writing subcommand: hash the
     input files, time work(), which returns the {path: bytes | str} outputs,
     then publish the outputs and a RunManifest of their hashes together.
     timings["wall_seconds"] covers all of work(), building the output bytes
-    included."""
+    included. The entries work() puts in timings, timed on the same clock,
+    time.monotonic, join the manifest's timings."""
     manifest = RunManifest(command=command, config=cfg, seed=seed,
                            toolkit_version=__version__)
     for path in inputs:
         manifest.add_input(path)
     t0 = time.monotonic()
     files = work()
-    manifest.timings["wall_seconds"] = time.monotonic() - t0
+    manifest.timings.update(timings or {}, wall_seconds=time.monotonic() - t0)
     for path, data in files.items():
         manifest.add_output(path, data)
     publish({**files, manifest_path: manifest.to_json()})
@@ -215,12 +218,14 @@ def cmd_filter(args) -> int:
     fc = _build(FilterConfig, cfg.get("filter", {}), "filter")
 
     scorers = ScorerSet()
+    inputs = [args.infile]   # and every file that scores a stage
     if fc.enabled("language_detection"):
         if not args.langid_seed:
             raise ConfigError(
                 "language detection is enabled: pass --langid-seed or disable "
                 "the stage via filter.stages_enabled")
         scorers.langid = langid_scorers(train_langid(_load_langid_seed(args.langid_seed)))
+        inputs.append(args.langid_seed)
     model = None
     if fc.enabled("semantic") or fc.enabled("quality_estimation"):
         if not args.model:
@@ -228,6 +233,7 @@ def cmd_filter(args) -> int:
                 "semantic/quality stages are enabled: pass --model or disable "
                 "them via filter.stages_enabled")
         model = load_checkpoint(args.model)
+        inputs.append(args.model)
     if fc.enabled("semantic"):
         pivot = cfg.get("semantic_pivot_lang")
         if not pivot:
@@ -246,8 +252,7 @@ def cmd_filter(args) -> int:
         return {args.out: corpus_jsonl(kept),
                 args.report or args.out + ".filter_report.json": report.to_json()}
 
-    return _run("filter", cfg, None, [args.infile], args.out + ".manifest.json",
-                work)
+    return _run("filter", cfg, None, inputs, args.out + ".manifest.json", work)
 
 
 def cmd_train(args) -> int:
@@ -311,10 +316,19 @@ def cmd_prune(args) -> int:
     pc = _build(PruneConfig, prune_cfg_obj, "prune")
 
     model = load_checkpoint(args.ckpt)
+    timings: dict = {}
+
+    def timed_importance(*args_):
+        """layer_importance_eval, timed into one entry per pass."""
+        start = time.monotonic()
+        scores = layer_importance_eval(*args_)
+        timings[f"importance_pass_{len(timings)}_seconds"] = time.monotonic() - start
+        return scores
 
     def work():
         if pc.strategy == "iterative":
-            pruned, report = iterative_prune(model, pc, dev_records)
+            pruned, report = iterative_prune(model, pc, dev_records,
+                                             importance_fn=timed_importance)
         else:
             pruned, report = middle_prune(model, pc)
         pruned.metadata.update({"stage": "pruned", "parent": model.fingerprint()})
@@ -322,7 +336,7 @@ def cmd_prune(args) -> int:
                 args.report or args.out + ".prune_report.json": report.to_json()}
 
     return _run("prune", cfg, None, [args.ckpt, args.dev],
-                args.out + ".manifest.json", work)
+                args.out + ".manifest.json", work, timings)
 
 
 def cmd_quantize(args) -> int:

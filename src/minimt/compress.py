@@ -22,6 +22,7 @@ from .decode import encode_sources, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_pp
 from .model import DECODER, ENCODER, TranslationModel, quantize_fp16, remove_layers
+from .parallel import map_ordered
 from .reports import publish
 from .training import TrainConfig, train
 
@@ -166,29 +167,32 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
     Keys are (side, current layer index). Removing a decoder layer leaves
     the embedding and encoder bit-identical, so every decoder candidate
     decodes against one encoding of each direction by this model; encoder
-    candidates encode for themselves."""
+    candidates encode for themselves. Candidates are scored in parallel by
+    map_ordered, each built inside the process that scores it."""
     counts = _layer_counts(model)
     for side in sides:
         if counts[side] < 2:
             raise ValueError(f"{side} stack too small to evaluate removals")
-    scores = {}
-    for side in sides:
-        encoded = None
-        if side == DECODER:
-            encoded = {d: encode_sources(model, [(r.src, r.src_lang, r.tgt_lang)
-                                                 for r in records])
-                       for d, records in dev_sets.items()}
-        for idx in range(counts[side]):
-            candidate = remove_layers(model, side, {idx})
-            scores[(side, idx)] = mean_dev_chrf(candidate, dev_sets,
-                                                beam_size, max_len, encoded)
-    return scores
+    encoded = None
+    if DECODER in sides:
+        encoded = {d: encode_sources(model, [(r.src, r.src_lang, r.tgt_lang)
+                                             for r in records])
+                   for d, records in dev_sets.items()}
+    keys = [(side, idx) for side in sides for idx in range(counts[side])]
+
+    def score(key) -> float:
+        side, idx = key
+        return mean_dev_chrf(remove_layers(model, side, {idx}), dev_sets, beam_size,
+                             max_len, encoded if side == DECODER else None)
+
+    return dict(zip(keys, map_ordered(score, keys)))
 
 
 def iterative_prune(model: TranslationModel, cfg: PruneConfig, dev_records,
                     importance_fn=None) -> tuple[TranslationModel, PruneReport]:
     """Remove cfg.n layers per targeted side, greedily by dev chrF++.
-    importance_fn may replace layer_importance_eval (test hook)."""
+    importance_fn may replace layer_importance_eval, with its signature
+    (a test hook; the CLI times each pass through it)."""
     counts = _layer_counts(model)
     for side in cfg.side_list:
         if cfg.n >= counts[side]:

@@ -5,6 +5,7 @@ run (train -> prune both ways -> 1-epoch fine-tune) is computed once here and
 reused everywhere.
 """
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -74,6 +75,17 @@ class ToyRun:
     train_wall_seconds: float
     train_cpu_seconds: float
     prune_report_n6: PruneReport | None = None
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """use_cpus(n) makes the CPU affinity, which sizes map_ordered's pool,
+    n CPUs for the rest of the test."""
+
+    def set_cpus(n: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return set_cpus
 
 
 @pytest.fixture(scope="session")

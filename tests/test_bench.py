@@ -84,6 +84,17 @@ class TestBench:
             beam_size=1, max_len=8)
         assert run.output_tokens == sum(len(r.tokens) for r in results)
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_parallel_run_equals_serial(self, model, use_cpus, beam):
+        cfg = DecodeConfig(beam_size=beam, batch_token_budget=48, max_output_length=8)
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            runs.append(decode_corpus(model, records(9), cfg, warmup_batches=1))
+        assert runs[0].n_batches > 2
+        assert runs[0].hypotheses == runs[1].hypotheses
+        assert runs[0].output_tokens == runs[1].output_tokens
+
     def test_throughput_definition_with_fake_clock(self, model):
         clock = FakeClock(step=0.5)
         cfg = DecodeConfig(beam_size=1, batch_token_budget=1024, max_output_length=8)

@@ -92,6 +92,26 @@ class TestFilter:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and "semantic" in err["message"]
 
+    def test_scoring_model_is_hashed_into_the_run_id(self, tiny_ckpt, data_dir,
+                                                     tmp_path):
+        other = tmp_path / "fp16.ckpt"
+        rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(other)])
+        assert rc == EXIT_OK
+        corpus = data_dir / "train.jsonl"
+        run_ids = []
+        for ckpt in (tiny_ckpt, other):
+            out = tmp_path / f"{ckpt.stem}.jsonl"
+            rc = main(["filter", "--in", str(corpus), "--out", str(out),
+                       "--model", str(ckpt),
+                       "--set", "filter.stages_enabled.language_detection=false",
+                       "--set", "filter.stages_enabled.semantic=false"])
+            assert rc == EXIT_OK
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["inputs"] == {str(corpus): sha256_file(corpus),
+                                          str(ckpt): sha256_file(ckpt)}
+            run_ids.append(manifest["run_id"])
+        assert run_ids[0] != run_ids[1]
+
     def test_langid_stage_requires_seed(self, data_dir, tmp_path):
         rc = main(["filter", "--in", str(data_dir / "train.jsonl"),
                    "--out", str(tmp_path / "x.jsonl")])
@@ -136,6 +156,22 @@ class TestPruneQuantize:
         assert m.config.n_encoder_layers == 12
         report = json.loads((tmp_path / "eight.ckpt.prune_report.json").read_text())
         assert report["iterations"][0]["removed"] == {"decoder": [4, 5, 6, 7]}
+
+    def test_iterative_prune_times_each_importance_pass(self, tiny_ckpt, data_dir,
+                                                        tmp_path):
+        out = tmp_path / "pruned.ckpt"
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
+                   str(data_dir / "dev.jsonl"), "--out", str(out),
+                   "--strategy", "iterative", "--n", "1", "--side", "encoder+decoder",
+                   "--set", "prune.max_len=12"])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "pruned.ckpt.manifest.json").read_text())
+        timings = manifest["timings"]
+        passes = ["importance_pass_0_seconds", "importance_pass_1_seconds"]
+        assert sorted(timings) == [*passes, "wall_seconds"]
+        assert 0 < sum(timings[p] for p in passes) <= timings["wall_seconds"]
+        report = json.loads((tmp_path / "pruned.ckpt.prune_report.json").read_text())
+        assert "seconds" not in json.dumps(report)
 
     def test_unwritable_report_publishes_nothing(self, tiny_ckpt, data_dir, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -235,7 +271,8 @@ def _manifest_run(command, data, ckpt, out):
                  "--langid-seed", data / "langid_seed.jsonl",
                  "--set", "filter.stages_enabled.semantic=false",
                  "--set", "filter.stages_enabled.quality_estimation=false"],
-                [data / "train.jsonl"], out / "f.jsonl.manifest.json",
+                [data / "train.jsonl", data / "langid_seed.jsonl"],
+                out / "f.jsonl.manifest.json",
                 [out / "f.jsonl", out / "f.jsonl.filter_report.json"])
     if command == "train":
         return (["--train-corpus", data / "dev.jsonl", "--dev-corpus",

@@ -145,13 +145,15 @@ class TestLayerImportance:
         b = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
         assert a == b
 
-    def test_every_candidate_scores_like_its_oracle(self, setup, monkeypatch):
+    def test_every_candidate_scores_like_its_oracle(self, setup, monkeypatch,
+                                                     use_cpus):
         import minimt.compress as compress_mod
         from minimt.compress import mean_dev_chrf, _dev_sets
 
         model, corpus = setup
         dev_sets = _dev_sets(cfg(), corpus.dev)
         hyps = []
+        use_cpus(1)     # a worker's recorded calls stay in it
 
         def recording_translate(*args, **kwargs):
             hyps.append(translate_records(*args, **kwargs))
@@ -177,7 +179,7 @@ class TestLayerImportance:
     @pytest.mark.parametrize("sides, encodes_per_direction", [
         (["decoder"], 1), (["encoder", "decoder"], 2 + 1)])
     def test_decoder_candidates_share_one_encode_per_direction(
-            self, setup, monkeypatch, sides, encodes_per_direction):
+            self, setup, monkeypatch, use_cpus, sides, encodes_per_direction):
         import minimt.decode as decode_mod
         from minimt.compress import _dev_sets
 
@@ -185,6 +187,7 @@ class TestLayerImportance:
         dev_sets = _dev_sets(cfg(), corpus.dev)
         calls = []
         encode_np = decode_mod.encode_np
+        use_cpus(1)     # a worker's recorded calls stay in it
 
         def counting_encode_np(*args):
             calls.append(args)
@@ -193,6 +196,18 @@ class TestLayerImportance:
         monkeypatch.setattr(decode_mod, "encode_np", counting_encode_np)
         layer_importance_eval(model, sides, dev_sets, beam_size=1, max_len=40)
         assert len(calls) == encodes_per_direction * len(dev_sets)
+
+    def test_parallel_scores_equal_serial(self, setup, use_cpus):
+        from minimt.compress import _dev_sets
+
+        model, corpus = setup
+        dev_sets = _dev_sets(cfg(), corpus.dev)
+        scores = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            scores.append(layer_importance_eval(model, ["encoder", "decoder"],
+                                                dev_sets, beam_size=1, max_len=40))
+        assert list(scores[0].items()) == list(scores[1].items())
 
     def test_single_layer_side_rejected(self, setup):
         from minimt.compress import _dev_sets
@@ -234,6 +249,16 @@ class TestIterativePrune:
         # survivors are originals 0 and 3
         assert np.array_equal(pruned.params["dec.1.self.wq"],
                               model.params["dec.3.self.wq"])
+
+    def test_parallel_report_equals_serial(self, setup, use_cpus):
+        model, corpus = setup
+        reports = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            _, report = iterative_prune(model, cfg(n=1, sides="encoder+decoder"),
+                                        corpus.dev)
+            reports.append(report.to_json())
+        assert reports[0] == reports[1]
 
     def test_tie_breaks_to_lowest_original_index(self, setup):
         model, corpus = setup
