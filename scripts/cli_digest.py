@@ -8,9 +8,10 @@ included, so that two checkouts can be compared for byte identity:
 Every subcommand runs once, through <checkout>'s own `minimt.cli.main`, on a
 small generated corpus in a fresh temporary directory, with paths relative
 to it so that the manifests do not name the directory. `time.monotonic` is
-replaced by a counter that advances a fixed step per call, restarted for
-each subcommand, so the recorded timings and throughputs are the same on
-every run. Nothing is written inside the checkout.
+replaced by one counter per calling module, each advancing a fixed step per
+call and restarted for each subcommand, so the recorded timings and
+throughputs are the same on every run, and one module's clock reads do not
+shift another's timings. Nothing is written inside the checkout.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ RUNS = [
      "--langid-seed", "data/langid_seed.jsonl", "--model", "base.ckpt",
      "--set", "semantic_pivot_lang=anu_Latn", "--set", "filter.threshold=0.3",
      "--set", "qe.midpoint=-3"],
-    ["distill", "--teacher", "base.ckpt", "--corpus", "data/dev.jsonl",
+    # the training corpus spans more than one 1024-token decode batch
+    ["distill", "--teacher", "base.ckpt", "--corpus", "data/train.jsonl",
      "--out", "kd.jsonl", "--set", "distill.beam_size=2",
      "--set", "distill.max_len=24"],
     ["prune", "--ckpt", "base.ckpt", "--dev", "data/dev.jsonl",
@@ -67,6 +69,18 @@ RUNS = [
 ]
 
 
+class ModuleClocks:
+    """A time.monotonic stand-in: a counter per calling module, from 1.0,
+    one second per call."""
+
+    def __init__(self):
+        self.counters: dict[str, itertools.count] = {}
+
+    def __call__(self) -> float:
+        module = sys._getframe(1).f_globals.get("__name__", "")
+        return next(self.counters.setdefault(module, itertools.count(1.0)))
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", type=Path, help="root of a minimt checkout")
@@ -80,8 +94,7 @@ def main() -> int:
         os.chdir(scratch)
         try:
             for argv in RUNS:
-                # one second per call, from 1.0, for each subcommand
-                time.monotonic = itertools.count(1.0).__next__
+                time.monotonic = ModuleClocks()
                 rc = cli.main(argv)
                 if rc != cli.EXIT_OK:
                     print(f"{argv[0]} exited {rc}", file=sys.stderr)

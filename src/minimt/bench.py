@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .decode import translate_batch
+from .model import check_counts
 from .parallel import map_ordered
 from .vocab import detokenize, tokenize
 
@@ -23,9 +24,7 @@ class DecodeConfig:
     max_output_length: int = 64
 
     def __post_init__(self):
-        for name in ("beam_size", "batch_token_budget", "max_output_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_counts(self, "beam_size", "batch_token_budget", "max_output_length")
 
 
 def encoder_token_count(vocab):

@@ -120,13 +120,18 @@ def load_config(path: str | None, overrides) -> dict:
 
 
 def _number(kind, node: dict, key: str, default):
-    """kind(node[key]), or kind(default) when the key is absent; a value
-    kind() rejects is a config error."""
+    """kind(node[key]), or kind(default) when the key is absent. A value
+    kind() rejects, a bool, or a fraction where kind is int is a config
+    error."""
     value = node.get(key, default)
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
 def _build(cls, obj: dict, what: str):

@@ -16,12 +16,14 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 
+from .bench import DecodeConfig, decode_corpus
 from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
 from .decode import encode_sources, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_pp
-from .model import DECODER, ENCODER, TranslationModel, quantize_fp16, remove_layers
+from .model import (DECODER, ENCODER, TranslationModel, check_counts, quantize_fp16,
+                    remove_layers)
 from .parallel import map_ordered
 from .reports import publish
 from .training import TrainConfig, train
@@ -30,12 +32,6 @@ SIDES_DECODER = "decoder"
 SIDES_BOTH = "encoder+decoder"
 STRATEGY_ITERATIVE = "iterative"
 STRATEGY_MIDDLE = "middle"
-
-
-def _check_count(name: str, value) -> None:
-    """Decode settings are ints >= 1 (bool is not a count)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +53,9 @@ class PruneConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.importance_directions:
             raise ValueError("importance_directions must be nonempty")
-        _check_count("importance_beam_size", self.importance_beam_size)
-        _check_count("max_len", self.max_len)
+        check_counts(self, "importance_beam_size", "max_len")
         if self.importance_max_samples is not None:
-            _check_count("importance_max_samples", self.importance_max_samples)
+            check_counts(self, "importance_max_samples")
 
     @property
     def side_list(self) -> list[str]:
@@ -310,8 +305,7 @@ class DistillConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        _check_count("beam_size", self.beam_size)
-        _check_count("max_len", self.max_len)
+        check_counts(self, "beam_size", "max_len")
 
 
 def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
@@ -319,15 +313,17 @@ def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
             scorers: ScorerSet | None = None, student_vocab=None):
     """Authentic corpus plus teacher-generated synthetic pairs.
 
-    Synthetic pairs whose target exactly matches any authentic target are
-    dropped; the survivors pass back through the filter pipeline.
+    The teacher decodes the sources with bench.decode_corpus: token-budget
+    batches spread over the CPUs, each row's hypothesis independent of its
+    batch. Synthetic pairs whose target exactly matches any authentic target
+    are dropped; the survivors pass back through the filter pipeline.
     """
     if student_vocab is not None and student_vocab != teacher.vocab:
         raise ValueError("teacher and student vocabularies differ")
 
     sources = list(source_records)
-    hyps = translate_records(teacher, sources, beam_size=cfg.beam_size,
-                             max_len=cfg.max_len)
+    hyps = decode_corpus(teacher, sources, DecodeConfig(
+        beam_size=cfg.beam_size, max_output_length=cfg.max_len)).hypotheses
     teacher_tag = f"kd:{teacher.fingerprint()[:8]}"
     synthetic = [
         ParallelRecord(src_lang=r.src_lang, tgt_lang=r.tgt_lang, src=r.src,

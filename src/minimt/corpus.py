@@ -17,12 +17,6 @@ from dataclasses import dataclass, field
 from .reports import publish
 from .vocab import validate_lang_code
 
-# dev/devtest sizes of the public multilingual benchmark this toolkit's
-# synthetic splits stand in for; desk-scale defaults below are smaller
-REFERENCE_DEV_SIZE = 997
-REFERENCE_DEVTEST_SIZE = 1012
-
-
 @dataclass(frozen=True)
 class ParallelRecord:
     """One bitext pair. flags carry injected-noise ground truth for tests and

@@ -48,10 +48,6 @@ class LangIdModel:
             raise ValueError(f"language {lang!r} not configured")
         return self.posterior(text)[lang]
 
-    def classify(self, text: str) -> str:
-        post = self.posterior(text)
-        return max(sorted(post), key=lambda l: post[l])
-
 
 def train_langid(seed_corpus: dict[str, list[str]]) -> LangIdModel:
     """Fit the detector from monolingual seed sentences per language."""

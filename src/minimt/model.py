@@ -42,6 +42,15 @@ _SIDE_PREFIX = {ENCODER: "enc", DECODER: "dec"}
 FP16_MAX = 65504.0
 
 
+def check_counts(config, *names: str) -> None:
+    """Each named field of config must be an int >= 1 (a bool is not a
+    count); the settings dataclasses call this from __post_init__."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -54,10 +63,10 @@ class ModelConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        check_counts(self, "vocab_size", "d_model", "n_heads", "ffn_dim",
+                     "n_encoder_layers", "n_decoder_layers", "max_positions")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.n_encoder_layers < 1 or self.n_decoder_layers < 1:
-            raise ValueError("layer counts must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -199,8 +208,9 @@ def init_model(config: ModelConfig, vocab: Vocab, rng: Rng,
 #
 # Every function below reads weights from w, a name -> weight mapping. For
 # training w holds Tensors and the ops record the autodiff graph; for
-# inference (decode.py: teacher-forced scoring and the incremental decoder)
-# w holds float32 arrays and the same ops return plain arrays.
+# evaluation (training.corpus_loss) and inference (decode.py: teacher-forced
+# scoring and the incremental decoder) w holds float32 arrays and the same
+# ops return plain arrays.
 
 
 def compute_params(model: TranslationModel) -> dict[str, np.ndarray]:
@@ -210,7 +220,8 @@ def compute_params(model: TranslationModel) -> dict[str, np.ndarray]:
 
 
 def params_as_tensors(model: TranslationModel) -> dict[str, Tensor]:
-    """Non-trainable Tensor views for loss evaluation without training."""
+    """Non-trainable Tensor views of the compute weights. Ops on them still
+    record graph nodes; training.corpus_loss evaluates on their arrays."""
     return {k: Tensor(v) for k, v in compute_params(model).items()}
 
 

@@ -5,10 +5,11 @@ walks the graph in reverse topological order. Storage is float32; the test
 harness can switch leaf creation to float64 via shadow_float64() for
 finite-difference oracles. Ops never mutate their inputs.
 
-Every op also takes plain operands: when each operand is an ndarray or a
-Python scalar the op returns the plain ndarray its numpy expression
-computes, with no Tensor or graph bookkeeping, so one model definition
-serves training (Tensors) and inference (float32 arrays).
+An op's operands are of two kinds. When none of them is a Tensor (each is
+an ndarray or a scalar) the op returns the plain ndarray its numpy
+expression computes, with no graph bookkeeping. Otherwise it records a graph
+node, whether or not a leaf below it is trainable. So one model definition
+serves training (Tensors) and evaluation and inference (float32 arrays).
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def shadow_float64():
 
 
 class Tensor:
-    """n-d array plus optional grad. requires_grad marks trainable leaves;
-    interior nodes carry backward closures when any ancestor is trainable."""
+    """n-d array plus optional grad. requires_grad marks trainable leaves
+    and every graph node; backward stops at leaves without it."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
@@ -92,22 +93,18 @@ def _neg_const(x):
     return -_raw(x)
 
 
-def _track(*operands):
-    for t in operands:
-        if isinstance(t, Tensor) and (t.requires_grad or t._bwd is not None):
-            return True
-    return False
-
-
-def _result(data, operands, bwd):
+def _result(data, operands, bwd) -> Tensor:
+    """The graph node of an op's output; its parents are the op's Tensor
+    operands."""
     parents = tuple(t for t in operands if isinstance(t, Tensor))
-    return Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd)
+    node = Tensor(data, requires_grad=True, _parents=parents, _bwd=bwd)
+    return node
 
 
 def _accum(t: Tensor, g: np.ndarray):
     """Accumulate a gradient that may alias another tensor's grad (copied on
     first bind)."""
-    if not (t.requires_grad or t._bwd is not None):
+    if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.array(g, copy=True)
@@ -118,7 +115,7 @@ def _accum(t: Tensor, g: np.ndarray):
 def _accum_owned(t: Tensor, g: np.ndarray):
     """Accumulate a gradient array created inside the calling closure (safe
     to bind without copying on first contribution)."""
-    if not (t.requires_grad or t._bwd is not None):
+    if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = g
@@ -138,11 +135,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _raw(x):
-    """Operand data. ndarrays and Python scalars come back as themselves, so
-    an op whose operands all satisfy _raw(x) is x returns its plain result.
+    """Operand data. ndarrays and scalars come back as themselves, so an op
+    whose operands all satisfy _raw(x) is x returns its plain result.
     Python scalars stay unwrapped because NumPy keeps an array's dtype
     against them but promotes float32 against a 0-d float64 array."""
-    if isinstance(x, (np.ndarray, int, float)):
+    if isinstance(x, (np.ndarray, np.generic, int, float)):
         return x
     if isinstance(x, Tensor):
         return x.data
@@ -154,8 +151,6 @@ def add(a, b) -> Tensor:
     out = ad + bd
     if ad is a and bd is b:
         return out
-    if not _track(a, b):
-        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -171,8 +166,6 @@ def mul(a, b) -> Tensor:
     out = ad * bd
     if ad is a and bd is b:
         return out
-    if not _track(a, b):
-        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -193,8 +186,6 @@ def matmul(a, b) -> Tensor:
     out = ad @ bd
     if ad is a and bd is b:
         return out
-    if not _track(a, b):
-        return Tensor(out)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -210,8 +201,6 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(xd, 0.0)
     if xd is x:
         return out
-    if not _track(x):
-        return Tensor(out)
     mask = xd > 0
 
     def bwd(g):
@@ -225,8 +214,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = xd.reshape(shape)
     if xd is x:
         return out
-    if not _track(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum(x, g.reshape(xd.shape))
@@ -239,8 +226,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     out = xd.transpose(axes)
     if xd is x:
         return out
-    if not _track(x):
-        return Tensor(out)
     inverse = np.argsort(axes)
 
     def bwd(g):
@@ -272,8 +257,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
     if xd is x:
         return out
-    if not _track(x):
-        return Tensor(out)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -298,8 +281,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
     out = xhat * gd + bd
     if xd is x and gd is gain and bd is bias:
         return out
-    if not _track(x, gain, bias):
-        return Tensor(out)
 
     def bwd(g):
         if isinstance(gain, Tensor):
@@ -322,8 +303,6 @@ def embedding(weight: Tensor, ids) -> Tensor:
     out = wd[ids]
     if wd is weight:
         return out
-    if not _track(weight):
-        return Tensor(out)
 
     def bwd(g):
         gw = np.zeros_like(wd)
@@ -349,8 +328,6 @@ def sum_all(x: Tensor) -> Tensor:
     out = xd.sum()
     if xd is x:
         return out
-    if not _track(x):
-        return Tensor(out)
 
     def bwd(g):
         _accum_owned(x, np.broadcast_to(g, xd.shape).copy() if np.ndim(g) else
@@ -399,8 +376,6 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
     loss = np.asarray(loss_val, dtype=ld.dtype)
     if ld is logits:
         return loss
-    if not _track(logits):
-        return Tensor(loss)
 
     def bwd(g):
         p = np.exp(logp)
@@ -435,7 +410,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen and (p._bwd is not None or p.requires_grad):
+            if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
 
     if loss.grad is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import split_key
-from .model import TranslationModel, batch_loss, build_batch
+from .model import TranslationModel, batch_loss, build_batch, check_counts
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import Tensor, backward
@@ -34,11 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        for name in ("batch_size", "grad_accum_steps", "eval_every_steps", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        check_counts(self, "batch_size", "grad_accum_steps", "eval_every_steps",
+                     "early_stop_patience", "max_epochs")
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,7 +91,10 @@ class PackedParams:
 
 def corpus_loss(tensors: dict, model: TranslationModel, records,
                 label_smoothing: float, batch_size: int = 64) -> float:
-    """Token-weighted mean cross-entropy over a record list (no dropout)."""
+    """Token-weighted mean cross-entropy over a record list (no dropout),
+    computed on the float32 arrays behind the given weights (Tensors or
+    arrays), so no autodiff graph is built."""
+    w = {k: t.data if isinstance(t, Tensor) else t for k, t in tensors.items()}
     vocab, config = model.vocab, model.config
     total = 0.0
     count = 0
@@ -102,8 +102,8 @@ def corpus_loss(tensors: dict, model: TranslationModel, records,
         chunk = records[start: start + batch_size]
         batch = build_batch(vocab, chunk, config.max_positions)
         n_tokens = int((batch[3] != vocab.pad).sum())
-        loss = batch_loss(tensors, config, vocab, batch, label_smoothing)
-        total += float(loss.data) * n_tokens
+        loss = batch_loss(w, config, vocab, batch, label_smoothing)
+        total += float(loss) * n_tokens
         count += n_tokens
     return total / count
 

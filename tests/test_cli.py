@@ -370,6 +370,34 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag", ["train_size=20.9", "seed=true", "dev_size=false"])
+    def test_fractional_or_boolean_count_is_config_error(self, tmp_path, capsys, flag):
+        rc = main(["gen-data", "--out-dir", str(tmp_path / "o"), "--set", flag])
+        assert rc == EXIT_USAGE
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "model.n_encoder_layers=2.5"),
+        ("train", "train.batch_size=2.5"),
+        ("train", "train.max_epochs=true"),
+        ("bench", "decode.beam_size=2.5"),
+        ("bench", "decode.max_output_length=true"),
+    ])
+    def test_fractional_or_boolean_config_count_is_config_error(
+            self, tiny_ckpt, data_dir, tmp_path, capsys, command, flag):
+        if command == "train":
+            argv = ["train", "--train-corpus", str(data_dir / "train.jsonl"),
+                    "--dev-corpus", str(data_dir / "dev.jsonl")]
+        else:
+            argv = ["bench", "--ckpt", str(tiny_ckpt),
+                    "--testset", str(data_dir / "devtest.jsonl")]
+        rc = main([*argv, "--out", str(tmp_path / "out"), "--set", flag])
+        assert rc == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and flag.split(".")[-1].split("=")[0] in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_quantize_rejects_config_flags(self, tiny_ckpt, tmp_path):
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(tmp_path / "q.ckpt"),
                    "--config", str(tmp_path / "missing.json"), "--set", "anything=1"])

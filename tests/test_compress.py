@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import minimt.compress as compress_mod
+from minimt.bench import DecodeConfig, DecodeRun, decode_corpus
 from minimt.compress import (
     DistillConfig,
     PruneConfig,
@@ -326,15 +328,22 @@ class TestIterativePrune:
         assert removal_prefix_consistent(rep2, rep3)
 
 
+def fake_decode_corpus(translate):
+    """A stand-in for compress's decode_corpus whose hypothesis for each
+    record is translate(record.src)."""
+
+    def decode(teacher, records, cfg):
+        return DecodeRun([translate(r.src) for r in records], 0, 0.0, 0.0, 1)
+
+    return decode
+
+
 class TestDistill:
     def test_teacher_echo_of_authentic_target_is_dropped(self, setup, monkeypatch):
         model, corpus = setup
         # deterministic fake teacher: translate = reverse the source string
-        import minimt.compress as compress_mod
-
-        monkeypatch.setattr(
-            compress_mod, "translate_records",
-            lambda teacher, records, beam_size, max_len: [r.src[::-1] for r in records])
+        monkeypatch.setattr(compress_mod, "decode_corpus",
+                            fake_decode_corpus(lambda src: src[::-1]))
 
         sources = corpus.train[:6]
         # first three authentic targets equal the teacher output (echo case)
@@ -363,7 +372,7 @@ class TestDistill:
         authentic_targets = {r.tgt for r in authentic}
         assert not synthetic_targets & authentic_targets
 
-    def test_empty_teacher_output_dropped_by_refilter(self, setup):
+    def test_empty_teacher_output_dropped_by_refilter(self, setup, monkeypatch):
         model, corpus = setup
 
         class MuteTeacher:
@@ -372,19 +381,30 @@ class TestDistill:
             def fingerprint(self):
                 return "0" * 16
 
-        import minimt.compress as compress_mod
-
-        def fake_translate(teacher, records, beam_size, max_len):
-            return ["" for _ in records]
-
-        orig = compress_mod.translate_records
-        compress_mod.translate_records = fake_translate
-        try:
-            kd = distill(MuteTeacher(), corpus.train[:5],
-                         DistillConfig(beam_size=1), corpus.train[:5])
-        finally:
-            compress_mod.translate_records = orig
+        monkeypatch.setattr(compress_mod, "decode_corpus",
+                            fake_decode_corpus(lambda src: ""))
+        kd = distill(MuteTeacher(), corpus.train[:5],
+                     DistillConfig(beam_size=1), corpus.train[:5])
         assert all(not r.origin.startswith("kd:") for r in kd)
+
+    def test_teacher_decodes_through_decode_corpus(self, setup, monkeypatch):
+        model, corpus = setup
+        sources = corpus.train[:12]
+        calls = []
+
+        def recording_decode(teacher, records, cfg):
+            # a small budget, so that the sources span several batches
+            run = decode_corpus(teacher, records, replace(cfg, batch_token_budget=64))
+            calls.append((cfg, run))
+            return run
+
+        monkeypatch.setattr(compress_mod, "decode_corpus", recording_decode)
+        distill(model, sources, DistillConfig(beam_size=2, max_len=30), [])
+        [(cfg, run)] = calls
+        assert cfg == DecodeConfig(beam_size=2, max_output_length=30)
+        assert run.n_batches > 1
+        # each hypothesis is the one a single batch of all sources gives
+        assert run.hypotheses == translate_records(model, sources, 2, 30)
 
     def test_vocab_mismatch_rejected(self, setup):
         model, corpus = setup

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minimt.bench import DecodeConfig
 from minimt.checkpoint import checkpoint_bytes
 from minimt.decode import full_decoder_logits_np, translate_batch
 from minimt.model import (
@@ -11,6 +12,7 @@ from minimt.model import (
     remove_layers,
 )
 from minimt.rng import Rng
+from minimt.training import TrainConfig
 from minimt.vocab import build_vocab
 
 from .gradcheck import FakeRecord, check_model_gradients
@@ -29,6 +31,20 @@ class TestConfig:
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, d_model=10, n_heads=3)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ModelConfig(vocab_size=10, n_encoder_layers=2.5), "n_encoder_layers"),
+        (lambda: ModelConfig(vocab_size=10, n_heads=0), "n_heads"),
+        (lambda: ModelConfig(vocab_size=True), "vocab_size"),
+        (lambda: DecodeConfig(beam_size=2.5), "beam_size"),
+        (lambda: DecodeConfig(batch_token_budget=False), "batch_token_budget"),
+        (lambda: TrainConfig(batch_size=2.5), "batch_size"),
+        (lambda: TrainConfig(max_epochs=True), "max_epochs"),
+        (lambda: TrainConfig(early_stop_patience=0), "early_stop_patience"),
+    ])
+    def test_counts_are_integers_of_at_least_one(self, make, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            make()
 
     def test_defaults_are_twelve_twelve(self):
         cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2)

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import minimt.tensor as tensor_mod
 from minimt.corpus import SplitSpec
-from minimt.model import ModelConfig, init_model
+from minimt.decode import forced_token_logprobs, translate_records
+from minimt.model import ModelConfig, TranslationModel, init_model, params_as_tensors
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
 from minimt.training import TrainConfig, corpus_loss, train
@@ -42,8 +46,6 @@ class TestTrain:
 
     def test_training_reduces_dev_loss(self, tiny_setup):
         model, corpus = tiny_setup
-        from minimt.model import params_as_tensors
-
         init_loss = corpus_loss(params_as_tensors(model), model, corpus.dev, 0.0)
         best, log = train(model, corpus.train, corpus.dev, fast_cfg(max_epochs=6))
         assert log.best_dev_loss < init_loss
@@ -119,3 +121,54 @@ class TestEarlyStopping:
         # eval_every larger than total steps: the end-of-training eval fires
         assert log.stop_reason == "max_epochs"
         assert len(log.entries) == 1
+
+
+def with_dropout(model, rate: float) -> TranslationModel:
+    """The same weights under another dropout rate."""
+    return TranslationModel(replace(model.config, dropout_rate=rate), model.vocab,
+                            model.params, model.precision)
+
+
+class TestCorpusLoss:
+    def test_evaluates_on_arrays_without_a_graph(self, tiny_setup, monkeypatch):
+        model, corpus = tiny_setup
+        arrays = dict(model.params)
+        tensors = {k: tensor_mod.Tensor(v.copy(), requires_grad=True)
+                   for k, v in model.params.items()}
+        on_arrays = corpus_loss(arrays, model, corpus.dev, 0.1)
+
+        def no_graph(*args):
+            raise AssertionError("corpus_loss recorded a graph node")
+
+        monkeypatch.setattr(tensor_mod, "_result", no_graph)
+        assert corpus_loss(tensors, model, corpus.dev, 0.1) == on_arrays
+        assert corpus_loss(params_as_tensors(model), model, corpus.dev, 0.1) == on_arrays
+        assert all(t.grad is None for t in tensors.values())
+
+
+class TestDropout:
+    def test_training_with_dropout_is_bit_reproducible(self, tiny_setup):
+        model, corpus = tiny_setup
+        dropped = with_dropout(model, 0.1)
+        cfg = fast_cfg(max_epochs=1)
+        a, log_a = train(dropped, corpus.train, corpus.dev, cfg)
+        b, log_b = train(dropped, corpus.train, corpus.dev, cfg)
+        plain, log_plain = train(model, corpus.train, corpus.dev, cfg)
+        assert log_a.best_dev_loss == log_b.best_dev_loss
+        for name in a.params:
+            assert np.array_equal(a.params[name], b.params[name])
+        assert log_a.best_dev_loss != log_plain.best_dev_loss
+        assert any(not np.array_equal(a.params[name], plain.params[name])
+                   for name in a.params)
+
+    def test_evaluation_and_decoding_ignore_the_rate(self, tiny_setup):
+        model, corpus = tiny_setup
+        dropped = with_dropout(model, 0.1)
+        records = corpus.dev
+        assert (corpus_loss(dropped.params, dropped, records, 0.1)
+                == corpus_loss(model.params, model, records, 0.1))
+        assert np.array_equal(forced_token_logprobs(dropped, records),
+                              forced_token_logprobs(model, records))
+        for beam in (1, 3):
+            assert (translate_records(dropped, records, beam, 20)
+                    == translate_records(model, records, beam, 20))
