@@ -251,13 +251,15 @@ def cmd_filter(args) -> int:
             scale=_number(float, qe_cfg, "scale", 0.5))
 
     records = _read(args.infile)
+    timings: dict = {}
 
     def work():
-        kept, report = run_pipeline(records, fc, scorers)
+        kept, report = run_pipeline(records, fc, scorers, timings)
         return {args.out: corpus_jsonl(kept),
                 args.report or args.out + ".filter_report.json": report.to_json()}
 
-    return _run("filter", cfg, None, inputs, args.out + ".manifest.json", work)
+    return _run("filter", cfg, None, inputs, args.out + ".manifest.json", work,
+                timings)
 
 
 def cmd_train(args) -> int:

@@ -29,6 +29,7 @@ from .model import (
     output_logits,
     pad_bias,
 )
+from .parallel import map_ordered
 from .tensor import fast_max
 from .vocab import detokenize
 
@@ -37,6 +38,10 @@ from .vocab import detokenize
 # matmul makes one gemm per row), so a row's bytes do not depend on the
 # chunking, while a chunk's attention arrays stay cache-sized.
 ROW_CHUNK = 32
+# forced_token_logprobs hands each process this many rows of its batch at a
+# time; a multiple of ROW_CHUNK, so the row chunks are the same as in one
+# pass over the whole batch.
+FORCED_BLOCK = 5 * ROW_CHUNK
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,27 @@ def full_decoder_logits_np(model: TranslationModel, src_ids, src_len, dec_in):
 
 def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
     """Length-normalized log-probability of each record's target given its
-    source under the model (mean over target characters + eos)."""
+    source under the model (mean over target characters + eos). The batch
+    is built once; its FORCED_BLOCK-row blocks, each at the whole batch's
+    padded widths, are spread over the CPUs by map_ordered, and each returns
+    only its per-record means, so no process holds the whole batch's
+    logits."""
     src_ids, src_len, dec_in, dec_tgt = build_batch(
         model.vocab, records, model.config.max_positions)
-    logits = full_decoder_logits_np(model, src_ids, src_len, dec_in)
-    logp = _log_softmax(logits)
     pad = model.vocab.pad
-    out = np.zeros(len(records), dtype=np.float64)
-    for i in range(len(records)):
-        keep = dec_tgt[i] != pad
-        picked = logp[i, np.arange(dec_tgt.shape[1]), dec_tgt[i]]
-        out[i] = picked[keep].mean()
-    return out
+    positions = np.arange(dec_tgt.shape[1])
+
+    def block_means(start: int) -> np.ndarray:
+        rows = slice(start, start + FORCED_BLOCK)
+        logp = _log_softmax(full_decoder_logits_np(
+            model, src_ids[rows], src_len[rows], dec_in[rows]))
+        out = np.zeros(len(logp), dtype=np.float64)
+        for i, tgt in enumerate(dec_tgt[rows]):
+            out[i] = logp[i, positions, tgt][tgt != pad].mean()
+        return out
+
+    return np.concatenate(map_ordered(block_means,
+                                      range(0, len(records), FORCED_BLOCK)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import queue
 import re
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,6 +182,9 @@ def langid_scorers(model: LangIdModel) -> dict[str, NaiveBayesLanguageScorer]:
 
 
 PIVOT_EMBED_DIM = 256
+# Source-token budget of one semantic-stage decode batch. Batches are spread
+# over the CPUs; larger ones cost less per row (filter's ~600 rows make 4).
+SEMANTIC_TOKEN_BUDGET = 4096
 
 
 class PivotTranslationEmbedder:
@@ -212,18 +216,24 @@ class PivotTranslationEmbedder:
         return vec
 
     def embed_batch(self, texts: list[str], langs: list[str]) -> list[np.ndarray]:
-        from .decode import translate_batch
-        from .vocab import detokenize
+        """One profile per text. The texts not in the pivot language are
+        decoded at beam 1 in SEMANTIC_TOKEN_BUDGET batches by decode_corpus
+        (a row's output does not depend on its batch)."""
+        from .bench import DecodeConfig, decode_corpus
 
         # pivot-language text is its own pivot translation
         todo = [i for i, l in enumerate(langs) if l != self.pivot_lang]
         pivot_texts = list(texts)
         if todo:
-            results = translate_batch(
-                self.model, [(texts[i], langs[i], self.pivot_lang) for i in todo],
-                beam_size=1, max_len=self.max_len)
-            for i, r in zip(todo, results):
-                pivot_texts[i] = detokenize(r.tokens, self.model.vocab)
+            # no source the model can encode is over the budget
+            budget = max(SEMANTIC_TOKEN_BUDGET, self.model.config.max_positions)
+            run = decode_corpus(
+                self.model, [ParallelRecord(langs[i], self.pivot_lang, texts[i], "")
+                             for i in todo],
+                DecodeConfig(beam_size=1, batch_token_budget=budget,
+                             max_output_length=self.max_len))
+            for i, hyp in zip(todo, run.hypotheses):
+                pivot_texts[i] = hyp
         return [self._profile(t) for t in pivot_texts]
 
 
@@ -510,28 +520,36 @@ def quality_estimation_filter(records, qe, cfg: FilterConfig):
         lambda values, report: [_check_score(v, who) for v in values])
 
 
-def run_pipeline(records, cfg: FilterConfig, scorers: ScorerSet):
-    """All enabled stages in order; returns (kept, FilterReport)."""
+def run_pipeline(records, cfg: FilterConfig, scorers: ScorerSet,
+                 timings: dict | None = None):
+    """All enabled stages in order; returns (kept, FilterReport). Given a
+    timings dict, each enabled stage's seconds on time.monotonic go into
+    timings["filter_<stage>_seconds"]; the report never holds a timing. A
+    stage enabled without its scorer fails before any stage runs."""
+    for stage, scorer, missing in (
+            (STAGE_LANG, scorers.langid, "language detection enabled but no "
+                                         "langid scorers given"),
+            (STAGE_SEMANTIC, scorers.embedder, "semantic stage enabled but no "
+                                               "embedder given"),
+            (STAGE_QE, scorers.qe, "quality estimation enabled but no QE "
+                                   "scorer given")):
+        if cfg.enabled(stage) and scorer is None:
+            raise ValueError(missing)
+    run_stage = {
+        STAGE_RULE: lambda recs: rule_based_filter(recs, cfg),
+        STAGE_LANG: lambda recs: language_detection_filter(recs, scorers.langid, cfg),
+        STAGE_SEMANTIC: lambda recs: semantic_filter(recs, scorers.embedder, cfg),
+        STAGE_QE: lambda recs: quality_estimation_filter(recs, scorers.qe, cfg),
+    }
     stages: list[StageReport] = []
     current = list(records)
-
-    if cfg.enabled(STAGE_RULE):
-        current, rep = rule_based_filter(current, cfg)
-        stages.append(rep)
-    if cfg.enabled(STAGE_LANG):
-        if scorers.langid is None:
-            raise ValueError("language detection enabled but no langid scorers given")
-        current, rep = language_detection_filter(current, scorers.langid, cfg)
-        stages.append(rep)
-    if cfg.enabled(STAGE_SEMANTIC):
-        if scorers.embedder is None:
-            raise ValueError("semantic stage enabled but no embedder given")
-        current, rep = semantic_filter(current, scorers.embedder, cfg)
-        stages.append(rep)
-    if cfg.enabled(STAGE_QE):
-        if scorers.qe is None:
-            raise ValueError("quality estimation enabled but no QE scorer given")
-        current, rep = quality_estimation_filter(current, scorers.qe, cfg)
+    for stage in STAGES:
+        if not cfg.enabled(stage):
+            continue
+        start = time.monotonic() if timings is not None else 0.0
+        current, rep = run_stage[stage](current)
+        if timings is not None:
+            timings[f"filter_{stage}_seconds"] = time.monotonic() - start
         stages.append(rep)
 
     report = FilterReport(stages=stages, config_fingerprint=cfg.fingerprint())

@@ -2,18 +2,28 @@
 may run on, results returned in item order.
 
 map_ordered forks one child per CPU of os.sched_getaffinity beyond the
-first (never more processes than items). Worker w computes items w, w + n,
-w + 2n, ... and the caller computes share 0 itself. Children inherit the
-caller's memory, so fn may be any callable, a closure over a model
-included, and items are never pickled; each result (or exception) comes
-back pickled through a temporary file per child. Whatever else an item
-does in a child (recorded calls, counters, lazily filled caches) stays in
-that child. fork copies only the calling thread, so the caller must not
-rely on other threads of its own while a map runs.
+first (never more processes than items). Items are handed out one at a
+time: every process, the caller included, claims the next unclaimed index
+until none is left, so a process that draws cheap items simply draws more
+of them and none idles while work remains. The caller claims item 0 before
+it forks. Claims are made in index order and none is made once an item has
+failed; every claimed item below the lowest failure runs to its end (only
+workers on items above it are killed), so the exception re-raised is
+always that of the lowest-numbered failing item.
+
+Children inherit the caller's memory, so fn may be any callable, a closure
+over a model included, and items are never pickled; each result (or
+exception) comes back pickled through a temporary file per child. Whatever
+else an item does in a child (recorded calls, counters, lazily filled
+caches) stays in that child. fork copies only the calling thread, so the
+caller must not rely on other threads of its own while a map runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
+import mmap
 import os
 import pickle
 import signal
@@ -24,7 +34,7 @@ import traceback
 
 _FRAME = struct.Struct("<Q")   # byte length of the pickle that follows
 
-# True in a worker, and in the caller while it computes its own share, so
+# True in a worker, and in the caller while it computes its own items, so
 # that a nested map runs inline instead of forking more processes than CPUs.
 _busy = False
 
@@ -40,19 +50,75 @@ class WorkerDiedError(RuntimeError):
         self.exit_code = exit_code
 
 
-class _WorkerTraceback(Exception):
-    """The traceback of an item's exception, as the worker formatted it;
-    chained as the cause of the exception map_ordered re-raises."""
+class _ItemTraceback(Exception):
+    """The traceback of an item's exception, as formatted in the process
+    that ran it; chained as the cause of the exception map_ordered
+    re-raises."""
+
+
+class _Claims:
+    """The claim board the caller and its workers share through a mapped
+    temporary file of int64 slots: the next unclaimed item, the end of the
+    claimable items (len(items), lowered to the lowest failed item), and
+    per process the last item it claimed (-1 before its first). A POSIX
+    record lock, which the kernel releases when its holder dies, makes each
+    update atomic. Its size depends on the process count only, so any
+    number of items can be handed out."""
+
+    def __init__(self, n_items: int, n_procs: int):
+        self._file = tempfile.TemporaryFile()
+        self._file.truncate(8 * (2 + n_procs))
+        self._map = mmap.mmap(self._file.fileno(), 8 * (2 + n_procs))
+        self._slots = memoryview(self._map).cast("q")
+        self._slots[0], self._slots[1] = 0, n_items
+        for w in range(n_procs):
+            self._slots[2 + w] = -1
+
+    @contextlib.contextmanager
+    def _locked(self):
+        fcntl.lockf(self._file, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.lockf(self._file, fcntl.LOCK_UN)
+
+    def claim(self, proc: int) -> int | None:
+        """The next unclaimed item, now proc's, or None when none is left."""
+        with self._locked():
+            i = self._slots[0]
+            if i >= self._slots[1]:
+                return None
+            # the claimant is recorded first: a process killed between the
+            # two stores leaves item i claimed by it and still claimable
+            self._slots[2 + proc] = i
+            self._slots[0] = i + 1
+            return i
+
+    def fail(self, i: int) -> None:
+        """Item i failed: no item above it is claimed from now on."""
+        with self._locked():
+            self._slots[1] = min(self._slots[1], i)
+
+    def end(self) -> int:
+        return self._slots[1]
+
+    def last(self, proc: int) -> int:
+        return self._slots[2 + proc]
+
+    def close(self) -> None:
+        self._slots.release()
+        self._map.close()
+        self._file.close()
 
 
 def map_ordered(fn, items) -> list:
-    """[fn(item) for item in items], with the items shared among
-    min(CPUs, len(items)) processes. Inline, without forking, on one CPU,
-    for one item, or inside another map's work. If items fail, the
-    exception of the first failing one is raised in the caller (a worker
-    whose result is missing raises WorkerDiedError); if the caller's own
-    share fails, the workers are killed first. Every worker is reaped
-    before this returns or raises."""
+    """[fn(item) for item in items], with the items handed one at a time to
+    whichever of min(CPUs, len(items)) processes is free. Inline, without
+    forking, on one CPU, for one item, or inside another map's work. If
+    items fail, the exception of the lowest-numbered failing one is raised
+    in the caller (a worker that ends without the result of the item it
+    claimed raises WorkerDiedError); workers still running an item above
+    it are killed. Every worker is reaped before this returns or raises."""
     global _busy
     items = list(items)
     n = 1 if _busy else min(len(os.sched_getaffinity(0)), len(items))
@@ -60,9 +126,11 @@ def map_ordered(fn, items) -> list:
         return [fn(item) for item in items]
 
     results = [None] * len(items)
-    failures = {}           # item index -> (exception, worker traceback)
-    children = {}           # pid -> (worker index, results file)
+    failures = {}           # item index -> (exception, formatted traceback)
+    children = {}           # pid -> (process index, results file)
+    claims = _Claims(len(items), n)
     try:
+        i = claims.claim(0)
         for w in range(1, n):
             out = tempfile.TemporaryFile()
             sys.stdout.flush()
@@ -73,14 +141,25 @@ def map_ordered(fn, items) -> list:
                 out.close()
                 raise
             if pid == 0:
-                _work(fn, items, range(w, len(items), n), out)
+                _work(fn, items, claims, w, out)
             children[pid] = (w, out)
         _busy = True
         try:
-            for i in range(0, len(items), n):
-                results[i] = fn(items[i])
+            while i is not None:
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    # as a worker would send it, so no exception depends on
+                    # which process ran the item
+                    failures[i] = _portable(exc)
+                    claims.fail(i)
+                i = claims.claim(0)
         finally:
             _busy = False
+        # no item is claimed any more; one above a failed item is wasted work
+        for pid, (w, _) in children.items():
+            if claims.last(w) > claims.end():
+                os.kill(pid, signal.SIGKILL)
         for pid in list(children):
             status = os.waitpid(pid, 0)[1]
             w, out = children.pop(pid)
@@ -88,10 +167,10 @@ def map_ordered(fn, items) -> list:
                 out.seek(0)
                 frames = out.read()
             got = _unpack(frames, results, failures)
-            missing = next((i for i in range(w, len(items), n) if i not in got), None)
-            if missing is not None and not any(i in failures for i in got):
-                failures[missing] = (WorkerDiedError(
-                    missing, os.waitstatus_to_exitcode(status)), None)
+            last = claims.last(w)
+            if last >= 0 and last not in got:
+                failures[last] = (WorkerDiedError(
+                    last, os.waitstatus_to_exitcode(status)), None)
     finally:
         for pid, (_, out) in children.items():
             try:
@@ -100,9 +179,10 @@ def map_ordered(fn, items) -> list:
             except (ProcessLookupError, ChildProcessError):
                 pass
             out.close()
+        claims.close()
     if failures:
         exc, tb = failures[min(failures)]
-        raise exc from (_WorkerTraceback(tb) if tb else None)
+        raise exc from (_ItemTraceback(tb) if tb else None)
     return results
 
 
@@ -123,25 +203,22 @@ def _unpack(frames: bytes, results: list, failures: dict) -> set[int]:
     return got
 
 
-def _work(fn, items: list, share: range, out) -> None:
-    """A worker's whole life: compute its share, writing one frame per item
-    as it finishes and stopping after the first exception, then exit
-    without returning into the caller's code."""
+def _work(fn, items: list, claims: _Claims, proc: int, out) -> None:
+    """A worker's whole life: claim and compute items until none is left,
+    writing one frame per item as it finishes, then exit without returning
+    into the caller's code."""
     global _busy
     _busy = True
     code = 1
     try:
-        for i in share:
+        while (i := claims.claim(proc)) is not None:
             try:
                 frame = pickle.dumps((i, True, fn(items[i])))
-                ok = True
             except Exception as exc:  # noqa: BLE001 - re-raised by the caller
                 frame = pickle.dumps((i, False, _portable(exc)))
-                ok = False
+                claims.fail(i)
             out.write(_FRAME.pack(len(frame)) + frame)
             out.flush()
-            if not ok:
-                break
         sys.stdout.flush()
         sys.stderr.flush()
         code = 0

@@ -63,6 +63,21 @@ class TestFilter:
         assert report["n_in"] > report["n_out"]
         assert (tmp_path / "clean.jsonl.manifest.json").exists()
 
+    def test_filter_times_each_enabled_stage(self, tiny_ckpt, data_dir, tmp_path):
+        out = tmp_path / "scored.jsonl"
+        rc = main(["filter", "--in", str(data_dir / "train.jsonl"), "--out", str(out),
+                   "--model", str(tiny_ckpt), "--set", "semantic_pivot_lang=anu_Latn",
+                   "--set", "filter.threshold=0.3",
+                   "--set", "filter.stages_enabled.language_detection=false"])
+        assert rc == EXIT_OK
+        timings = json.loads((tmp_path / "scored.jsonl.manifest.json").read_text())["timings"]
+        stages = ["filter_rule_based_seconds", "filter_semantic_seconds",
+                  "filter_quality_estimation_seconds"]
+        assert sorted(timings) == sorted([*stages, "wall_seconds"])
+        assert 0 < sum(timings[s] for s in stages) <= timings["wall_seconds"]
+        report = (tmp_path / "scored.jsonl.filter_report.json").read_text()
+        assert "seconds" not in report
+
     def test_invalid_threshold_is_usage_error_without_outputs(self, data_dir, tmp_path, capsys):
         out = tmp_path / "never.jsonl"
         rc = main([

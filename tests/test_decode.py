@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimt.decode import (
+    FORCED_BLOCK,
     ROW_CHUNK,
     NonFiniteLogitsError,
     _ModelStepper,
@@ -407,6 +408,26 @@ def test_row_chunked_passes_equal_one_unchunked_pass(seed):
                           (forced, want_forced)):
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forced_blocks_equal_one_unblocked_pass(use_cpus, cpus):
+    """forced_token_logprobs scores FORCED_BLOCK-row blocks on every CPU;
+    over more than two blocks of rows of unequal lengths its means equal
+    those of one pass over the whole batch byte for byte, for the model as
+    built, after layer removal and after fp16 storage."""
+    use_cpus(cpus)
+    rng = np.random.default_rng(5)
+    n = 2 * FORCED_BLOCK + 7
+    words = ["".join(rng.choice(list("abcdef "), rng.integers(1, 10)))
+             for _ in range(2 * n)]
+    records = _records([(words[2 * i], words[2 * i + 1], LANGS[i % 2])
+                        for i in range(n)])
+    for model in _tiny_models(2, 3, 2, 16, 5):
+        want = _unchunked_pass(model, records)[2]
+        got = forced_token_logprobs(model, records)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_empty_batch_passes():

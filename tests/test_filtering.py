@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,13 +8,17 @@ import numpy as np
 import pytest
 
 import minimt.filtering as filtering
+from minimt.bench import encoder_token_count
 from minimt.corpus import ParallelRecord, SplitSpec
+from minimt.decode import translate_batch
 from minimt.filtering import (
+    SEMANTIC_TOKEN_BUDGET,
     STAGE_LANG,
     STAGE_QE,
     STAGE_RULE,
     STAGE_SEMANTIC,
     FilterConfig,
+    PivotTranslationEmbedder,
     ScorerSet,
     ScorerExitedError,
     ScorerTimeoutError,
@@ -32,6 +37,7 @@ from minimt.synthetic import (
     generate_synthetic_corpus,
     langid_seed_corpus,
 )
+from minimt.vocab import detokenize
 
 
 def rec(src, tgt, sl="anu_Latn", tl="bnu_Latn", **kw):
@@ -427,3 +433,60 @@ class TestSubprocessScorer:
         with pytest.raises(ScorerExitedError, match=r"^gone: .*code 3 .*record 0$"):
             scorer.score_batch([rec("long enough", "tgt text")])
         scorer.close()
+
+
+def _pivot_inputs(corpus, n):
+    """Both sides of n records of corpus, with every fourth target re-paired
+    to the next record's, so the semantic stage keeps some and drops some."""
+    records = list(corpus.train[:n])
+    for i in range(0, n - 1, 4):
+        records[i] = ParallelRecord(src_lang=records[i].src_lang,
+                                    tgt_lang=records[i].tgt_lang,
+                                    src=records[i].src, tgt=records[i + 1].tgt)
+    return records
+
+
+class TestModelScorersOnEveryCpu:
+    def test_embeddings_equal_one_translate_batch(self, pivot_model, use_cpus):
+        model, corpus = pivot_model
+        records = _pivot_inputs(corpus, 400)
+        texts = [t for r in records for t in (r.src, r.tgt)]
+        langs = [l for r in records for l in (r.src_lang, r.tgt_lang)]
+        embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=48)
+        todo = [i for i, l in enumerate(langs) if l != "anu_Latn"]
+        count = encoder_token_count(model.vocab)
+        assert sum(count(records[i // 2]) for i in todo) > 2 * SEMANTIC_TOKEN_BUDGET
+
+        # the unsplit path: one translate_batch call over every decoded row
+        results = translate_batch(model, [(texts[i], langs[i], "anu_Latn") for i in todo],
+                                  beam_size=1, max_len=48)
+        pivot_texts = list(texts)
+        for i, r in zip(todo, results):
+            pivot_texts[i] = detokenize(r.tokens, model.vocab)
+        want = b"".join(embedder._profile(t).tobytes() for t in pivot_texts)
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            got = embedder.embed_batch(texts, langs)
+            assert b"".join(v.tobytes() for v in got) == want
+
+    def test_external_qe_scorer_beside_a_forking_semantic_stage(self, pivot_model,
+                                                                use_cpus):
+        # fork copies only the calling thread: the scorer's reader thread
+        # and its pipes must come through the semantic stage's map untouched
+        model, corpus = pivot_model
+        records = _pivot_inputs(corpus, 200)
+        cfg = FilterConfig(stages_enabled={STAGE_LANG: False})
+        embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=48)
+        runs = []
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            scorer = SubprocessScorer([sys.executable, "-c", ECHO_SCORER])
+            kept, report = run_pipeline(records, cfg,
+                                        ScorerSet(embedder=embedder, qe=scorer))
+            scorer.close()
+            assert scorer._proc.returncode == 0
+            runs.append((kept, report.to_json()))
+        assert runs[1] == runs[0]
+        assert 0 < len(runs[0][0]) < len(records)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
