@@ -32,7 +32,6 @@ from .corpus import (
     ParallelRecord,
     SplitSpec,
     read_corpus,
-    write_corpus,
 )
 from .decode import BeamResult, encode_sources, translate_batch, translate_records
 from .filtering import (

@@ -134,6 +134,15 @@ def _number(kind, node: dict, key: str, default):
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key], or {} when the key is absent; a config error unless it is
+    a JSON object."""
+    node = cfg.get(key, {})
+    if not isinstance(node, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {node!r}")
+    return node
+
+
 def _build(cls, obj: dict, what: str):
     try:
         return cls(**obj)
@@ -184,7 +193,7 @@ def cmd_gen_data(args) -> int:
         "devtest_size": _number(int, cfg, "devtest_size", 200),
         "seed": seed,
     }, "split")
-    noise = _build(NoiseRates, cfg.get("noise_rates", {}), "noise")
+    noise = _build(NoiseRates, _section(cfg, "noise_rates"), "noise")
     langid_seed_size = _number(int, cfg, "langid_seed_size", 80)
     spec = ToyLanguageSpec()
 
@@ -220,7 +229,7 @@ def _load_langid_seed(path) -> dict[str, list[str]]:
 
 def cmd_filter(args) -> int:
     cfg = load_config(args.config, args.set)
-    fc = _build(FilterConfig, cfg.get("filter", {}), "filter")
+    fc = _build(FilterConfig, _section(cfg, "filter"), "filter")
 
     scorers = ScorerSet()
     inputs = [args.infile]   # and every file that scores a stage
@@ -245,7 +254,7 @@ def cmd_filter(args) -> int:
             raise ConfigError("semantic stage needs semantic_pivot_lang in config")
         scorers.embedder = PivotTranslationEmbedder(model, pivot)
     if fc.enabled("quality_estimation"):
-        qe_cfg = cfg.get("qe", {})
+        qe_cfg = _section(cfg, "qe")
         scorers.qe = ForcedLogProbQualityScorer(
             model, midpoint=_number(float, qe_cfg, "midpoint", -1.5),
             scale=_number(float, qe_cfg, "scale", 0.5))
@@ -265,14 +274,14 @@ def cmd_filter(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     seed = _number(int, cfg, "seed", 0)
-    tc = _build(TrainConfig, {**cfg.get("train", {}), "seed": seed}, "train")
+    tc = _build(TrainConfig, {**_section(cfg, "train"), "seed": seed}, "train")
 
     train_records = _read(args.train_corpus)
     dev_records = _read(args.dev_corpus)
     if not train_records:
         raise ConfigError("training corpus is empty")
     vocab = vocab_from_corpus(train_records + dev_records)
-    mc = _build(ModelConfig, {**cfg.get("model", {}), "vocab_size": len(vocab)},
+    mc = _build(ModelConfig, {**_section(cfg, "model"), "vocab_size": len(vocab)},
                 "model")
 
     def work():
@@ -297,7 +306,7 @@ def cmd_train(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = load_config(args.config, args.set)
-    dc = _build(DistillConfig, cfg.get("distill", {}), "distill")
+    dc = _build(DistillConfig, _section(cfg, "distill"), "distill")
     teacher = load_checkpoint(args.teacher)
     authentic = _read(args.corpus)
 
@@ -310,16 +319,22 @@ def cmd_distill(args) -> int:
 def cmd_prune(args) -> int:
     cfg = load_config(args.config, args.set)
     dev_records = _read(args.dev)
-    prune_cfg_obj = dict(cfg.get("prune", {}))
+    prune_cfg_obj = dict(_section(cfg, "prune"))
     if args.strategy:
         prune_cfg_obj["strategy"] = args.strategy
     if args.n is not None:
         prune_cfg_obj["n"] = args.n
     if args.side:
         prune_cfg_obj["sides"] = args.side
-    prune_cfg_obj["importance_directions"] = [tuple(d) for d in prune_cfg_obj.get(
+    directions = prune_cfg_obj.get(
         "importance_directions",
-        sorted({(r.src_lang, r.tgt_lang) for r in dev_records}))]
+        sorted({(r.src_lang, r.tgt_lang) for r in dev_records}))
+    if not isinstance(directions, list) or not all(
+            isinstance(d, (list, tuple)) and len(d) == 2
+            and all(isinstance(lang, str) for lang in d) for d in directions):
+        raise ConfigError("importance_directions must be a list of [src, tgt] "
+                          f"pairs, got {directions!r}")
+    prune_cfg_obj["importance_directions"] = [tuple(d) for d in directions]
     pc = _build(PruneConfig, prune_cfg_obj, "prune")
 
     model = load_checkpoint(args.ckpt)
@@ -361,7 +376,7 @@ def cmd_quantize(args) -> int:
 def _decode_setup(args, cfg):
     """What evaluate and bench share: the decode config, the checkpoint and
     a test set that must not be empty."""
-    dc = _build(DecodeConfig, cfg.get("decode", {}), "decode")
+    dc = _build(DecodeConfig, _section(cfg, "decode"), "decode")
     model = load_checkpoint(args.ckpt)
     testset = _read(args.testset)
     if not testset:

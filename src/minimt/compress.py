@@ -45,8 +45,7 @@ class PruneConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        check_counts(self, "n", minimum=0)
         if self.sides not in (SIDES_DECODER, SIDES_BOTH):
             raise ValueError(f"sides must be {SIDES_DECODER!r} or {SIDES_BOTH!r}")
         if self.strategy not in (STRATEGY_ITERATIVE, STRATEGY_MIDDLE):

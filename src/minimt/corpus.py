@@ -14,7 +14,7 @@ import os
 import unicodedata
 from dataclasses import dataclass, field
 
-from .reports import publish
+from .model import check_counts
 from .vocab import validate_lang_code
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ def corpus_jsonl(records) -> str:
     return "".join(record_to_json(r) + "\n" for r in records)
 
 
-def write_corpus(records, path) -> str:
-    """Canonical JSONL, atomically written."""
-    return publish({path: corpus_jsonl(records)})[0]
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """train/dev/devtest sizes. dev doubles as validation and the layer
@@ -155,6 +150,4 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for n in (self.train_size, self.dev_size, self.devtest_size):
-            if n < 0:
-                raise ValueError("split sizes must be >= 0")
+        check_counts(self, "train_size", "dev_size", "devtest_size", minimum=0)

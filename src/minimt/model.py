@@ -42,13 +42,13 @@ _SIDE_PREFIX = {ENCODER: "enc", DECODER: "dec"}
 FP16_MAX = 65504.0
 
 
-def check_counts(config, *names: str) -> None:
-    """Each named field of config must be an int >= 1 (a bool is not a
-    count); the settings dataclasses call this from __post_init__."""
+def check_counts(config, *names: str, minimum: int = 1) -> None:
+    """Each named field of config must be an int >= minimum (a bool is not
+    a count); the settings dataclasses call this from __post_init__."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

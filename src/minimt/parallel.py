@@ -1,42 +1,45 @@
 """Ordered fork map: independent items spread over the CPUs this process
 may run on, results returned in item order.
 
-map_ordered forks one child per CPU of os.sched_getaffinity beyond the
-first (never more processes than items). Items are handed out one at a
-time: every process, the caller included, claims the next unclaimed index
-until none is left, so a process that draws cheap items simply draws more
-of them and none idles while work remains. The caller claims item 0 before
-it forks. Claims are made in index order and none is made once an item has
-failed; every claimed item below the lowest failure runs to its end (only
-workers on items above it are killed), so the exception re-raised is
-always that of the lowest-numbered failing item.
+map_ordered forks one worker per CPU of os.sched_getaffinity (never more
+workers than items), each with its own multiprocessing Pipe. The caller
+only dispatches: it sends the next item index to whichever worker last
+answered and reads back (ok, result or exception), so a worker that draws
+cheap items simply draws more of them and none idles while work remains,
+and one process makes every scheduling decision. Items are handed out in
+index order and none once an item has failed; every item below the lowest
+failure runs to its end (only workers on items above it are killed), so
+the exception re-raised is always that of the lowest-numbered failing
+item.
 
-Children inherit the caller's memory, so fn may be any callable, a closure
-over a model included, and items are never pickled; each result (or
-exception) comes back pickled through a temporary file per child. Whatever
-else an item does in a child (recorded calls, counters, lazily filled
-caches) stays in that child. fork copies only the calling thread, so the
-caller must not rely on other threads of its own while a map runs.
+Workers inherit the caller's memory, so fn may be any callable, a closure
+over a model included, and items are never pickled: only indices go out,
+and each result (or exception) comes back pickled. Whatever else an item
+does in a worker (recorded calls, counters, lazily filled caches, trace
+spans) stays in that worker, so a traced run on more than one CPU records
+none of the mapped work; pinned to one CPU (taskset -c 0) every map runs
+inline and a trace sees all of it. fork copies only the calling thread, so
+the caller must not rely on other threads of its own while a map runs.
 """
 
 from __future__ import annotations
 
 import contextlib
-import fcntl
-import mmap
+import ctypes
 import os
 import pickle
 import signal
-import struct
 import sys
-import tempfile
 import traceback
+from multiprocessing import Pipe
+from multiprocessing.connection import wait
 
-_FRAME = struct.Struct("<Q")   # byte length of the pickle that follows
-
-# True in a worker, and in the caller while it computes its own items, so
-# that a nested map runs inline instead of forking more processes than CPUs.
+# True in a worker, so that a nested map runs inline instead of forking more
+# processes than CPUs.
 _busy = False
+
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc's, or None
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt's parameter numbers
 
 
 class WorkerDiedError(RuntimeError):
@@ -56,70 +59,14 @@ class _ItemTraceback(Exception):
     re-raises."""
 
 
-class _Claims:
-    """The claim board the caller and its workers share through a mapped
-    temporary file of int64 slots: the next unclaimed item, the end of the
-    claimable items (len(items), lowered to the lowest failed item), and
-    per process the last item it claimed (-1 before its first). A POSIX
-    record lock, which the kernel releases when its holder dies, makes each
-    update atomic. Its size depends on the process count only, so any
-    number of items can be handed out."""
-
-    def __init__(self, n_items: int, n_procs: int):
-        self._file = tempfile.TemporaryFile()
-        self._file.truncate(8 * (2 + n_procs))
-        self._map = mmap.mmap(self._file.fileno(), 8 * (2 + n_procs))
-        self._slots = memoryview(self._map).cast("q")
-        self._slots[0], self._slots[1] = 0, n_items
-        for w in range(n_procs):
-            self._slots[2 + w] = -1
-
-    @contextlib.contextmanager
-    def _locked(self):
-        fcntl.lockf(self._file, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.lockf(self._file, fcntl.LOCK_UN)
-
-    def claim(self, proc: int) -> int | None:
-        """The next unclaimed item, now proc's, or None when none is left."""
-        with self._locked():
-            i = self._slots[0]
-            if i >= self._slots[1]:
-                return None
-            # the claimant is recorded first: a process killed between the
-            # two stores leaves item i claimed by it and still claimable
-            self._slots[2 + proc] = i
-            self._slots[0] = i + 1
-            return i
-
-    def fail(self, i: int) -> None:
-        """Item i failed: no item above it is claimed from now on."""
-        with self._locked():
-            self._slots[1] = min(self._slots[1], i)
-
-    def end(self) -> int:
-        return self._slots[1]
-
-    def last(self, proc: int) -> int:
-        return self._slots[2 + proc]
-
-    def close(self) -> None:
-        self._slots.release()
-        self._map.close()
-        self._file.close()
-
-
 def map_ordered(fn, items) -> list:
     """[fn(item) for item in items], with the items handed one at a time to
-    whichever of min(CPUs, len(items)) processes is free. Inline, without
+    whichever of min(CPUs, len(items)) workers is free. Inline, without
     forking, on one CPU, for one item, or inside another map's work. If
     items fail, the exception of the lowest-numbered failing one is raised
     in the caller (a worker that ends without the result of the item it
-    claimed raises WorkerDiedError); workers still running an item above
+    was given raises WorkerDiedError); workers still running an item above
     it are killed. Every worker is reaped before this returns or raises."""
-    global _busy
     items = list(items)
     n = 1 if _busy else min(len(os.sched_getaffinity(0)), len(items))
     if n <= 1:
@@ -127,98 +74,89 @@ def map_ordered(fn, items) -> list:
 
     results = [None] * len(items)
     failures = {}           # item index -> (exception, formatted traceback)
-    children = {}           # pid -> (process index, results file)
-    claims = _Claims(len(items), n)
+    workers = {}            # the caller's end of each pipe -> worker pid
+    running = {}            # the caller's end of each pipe -> item it was sent
     try:
-        i = claims.claim(0)
-        for w in range(1, n):
-            out = tempfile.TemporaryFile()
-            sys.stdout.flush()
-            sys.stderr.flush()
-            try:
+        for _ in range(n):
+            conn, child = Pipe()
+            workers[conn] = None
+            with child:
+                sys.stdout.flush()
+                sys.stderr.flush()
                 pid = os.fork()
-            except BaseException:
-                out.close()
-                raise
-            if pid == 0:
-                _work(fn, items, claims, w, out)
-            children[pid] = (w, out)
-        _busy = True
-        try:
-            while i is not None:
+                if pid == 0:
+                    _work(fn, items, child, workers)
+            workers[conn] = pid
+        pending = iter(range(len(items)))
+        idle = list(workers)
+        while True:
+            while idle and not failures and (i := next(pending, None)) is not None:
+                conn = idle.pop()
+                running[conn] = i   # recorded first: a lost worker fails i
+                with contextlib.suppress(OSError):  # its EOF is read below
+                    conn.send(i)
+            if not running:
+                break
+            for conn in wait(list(running)):
+                i = running.pop(conn)
                 try:
-                    results[i] = fn(items[i])
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    # as a worker would send it, so no exception depends on
-                    # which process ran the item
-                    failures[i] = _portable(exc)
-                    claims.fail(i)
-                i = claims.claim(0)
-        finally:
-            _busy = False
-        # no item is claimed any more; one above a failed item is wasted work
-        for pid, (w, _) in children.items():
-            if claims.last(w) > claims.end():
-                os.kill(pid, signal.SIGKILL)
-        for pid in list(children):
-            status = os.waitpid(pid, 0)[1]
-            w, out = children.pop(pid)
-            with out:
-                out.seek(0)
-                frames = out.read()
-            got = _unpack(frames, results, failures)
-            last = claims.last(w)
-            if last >= 0 and last not in got:
-                failures[last] = (WorkerDiedError(
-                    last, os.waitstatus_to_exitcode(status)), None)
+                    ok, value = conn.recv()
+                except (EOFError, OSError):
+                    conn.close()
+                    status = os.waitpid(workers.pop(conn), 0)[1]
+                    failures[i] = (WorkerDiedError(
+                        i, os.waitstatus_to_exitcode(status)), None)
+                    continue
+                (results if ok else failures)[i] = value
+                idle.append(conn)
+            if failures:
+                # an item above a failed one is wasted work
+                for conn, i in list(running.items()):
+                    if i > min(failures):
+                        os.kill(workers[conn], signal.SIGKILL)
+                        del running[conn]
     finally:
-        for pid, (_, out) in children.items():
-            try:
-                os.kill(pid, signal.SIGKILL)
+        # closed first, so an idle worker reads EOF and exits
+        for conn in workers:
+            conn.close()
+        for conn, pid in workers.items():
+            if pid is not None:
+                if conn in running:
+                    os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
-            out.close()
-        claims.close()
     if failures:
         exc, tb = failures[min(failures)]
         raise exc from (_ItemTraceback(tb) if tb else None)
     return results
 
 
-def _unpack(frames: bytes, results: list, failures: dict) -> set[int]:
-    """Read the complete frames of one worker into results and failures;
-    return the item indices they cover."""
-    got = set()
-    pos = 0
-    while pos + _FRAME.size <= len(frames):
-        (size,) = _FRAME.unpack_from(frames, pos)
-        end = pos + _FRAME.size + size
-        if end > len(frames):
-            break
-        i, ok, value = pickle.loads(frames[pos + _FRAME.size:end])
-        (results if ok else failures)[i] = value
-        got.add(i)
-        pos = end
-    return got
-
-
-def _work(fn, items: list, claims: _Claims, proc: int, out) -> None:
-    """A worker's whole life: claim and compute items until none is left,
-    writing one frame per item as it finishes, then exit without returning
-    into the caller's code."""
+def _work(fn, items: list, conn, parent_ends) -> None:
+    """A worker's whole life: compute each item index the caller sends and
+    answer (ok, result or exception) until the pipe closes, then exit
+    without returning into the caller's code."""
     global _busy
     _busy = True
     code = 1
     try:
-        while (i := claims.claim(proc)) is not None:
+        # the caller's ends, this worker's and the earlier ones': a copy
+        # held here would keep its worker from ever reading EOF
+        for end in parent_ends:
+            end.close()
+        if _mallopt is not None:
+            # glibc maps blocks above a threshold it raises only on freeing
+            # a bigger one, so caches that grow by a step would fault in new
+            # pages at every step; a worker lives for one map, so it keeps them
+            _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+            _mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+        while True:
             try:
-                frame = pickle.dumps((i, True, fn(items[i])))
+                i = conn.recv()
+            except EOFError:
+                break
+            try:
+                conn.send((True, fn(items[i])))
             except Exception as exc:  # noqa: BLE001 - re-raised by the caller
-                frame = pickle.dumps((i, False, _portable(exc)))
-                claims.fail(i)
-            out.write(_FRAME.pack(len(frame)) + frame)
-            out.flush()
+                conn.send((False, _portable(exc)))
         sys.stdout.flush()
         sys.stderr.flush()
         code = 0

@@ -212,6 +212,17 @@ class TestPruneQuantize:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and setting.split(".")[1].split("=")[0] in err["message"]
 
+    @pytest.mark.parametrize("setting", ["prune.n=1.5", "prune.n=true"])
+    def test_fractional_or_boolean_layer_count_is_a_config_error(
+            self, tiny_ckpt, data_dir, tmp_path, capsys, setting):
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
+                   str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "p.ckpt"),
+                   "--set", setting])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "n must be an integer >= 0" in err["message"]
+
     def test_quantize_cli(self, tiny_ckpt, tmp_path):
         out = tmp_path / "fp16.ckpt"
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(out)])
@@ -412,6 +423,33 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and flag.split(".")[-1].split("=")[0] in err["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, setting, key", [
+        ("gen-data", "noise_rates=3", "noise_rates"),
+        ("filter", "filter=3", "filter"),
+        ("filter", "qe=3", "qe"),
+        ("train", "train=3", "train"),
+        ("train", "model=[2]", "model"),
+        ("distill", "distill=3", "distill"),
+        ("prune", "prune=3", "prune"),
+        ("prune", "prune.importance_directions=5", "importance_directions"),
+        ("prune", 'prune.importance_directions=["ab"]', "importance_directions"),
+        ("prune", "prune.importance_directions=[[1, 2]]", "importance_directions"),
+        ("bench", "decode=3", "decode"),
+    ])
+    def test_config_section_of_the_wrong_shape_is_config_error(
+            self, tiny_ckpt, data_dir, tmp_path, capsys, command, setting, key):
+        out = tmp_path / "out"
+        argv, _, _, _ = _manifest_run(command, data_dir, tiny_ckpt, out)
+        if command == "filter":     # every stage on, so qe is read
+            argv = ["--in", data_dir / "train.jsonl", "--out", out / "f.jsonl",
+                    "--langid-seed", data_dir / "langid_seed.jsonl",
+                    "--model", tiny_ckpt, "--set", "semantic_pivot_lang=anu_Latn"]
+        rc = main([command, *map(str, argv), "--set", setting])
+        assert rc == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and key in err["message"]
+        assert not out.exists()
 
     def test_quantize_rejects_config_flags(self, tiny_ckpt, tmp_path):
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(tmp_path / "q.ckpt"),

@@ -71,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize("n", [-1, 1.5, True, "2"])
+    def test_layer_count_must_be_an_integer_at_least_zero(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            cfg(n=n)
+        assert cfg(n=0).n == 0
+
     @pytest.mark.parametrize("field,value", [
         ("max_len", 0), ("max_len", "64"), ("max_len", 2.5),
         ("beam_size", 0), ("beam_size", "3"),

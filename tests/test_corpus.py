@@ -6,10 +6,12 @@ import pytest
 from minimt.corpus import (
     CorpusFormatError,
     ParallelRecord,
+    SplitSpec,
+    corpus_jsonl,
     read_corpus,
     split_key,
-    write_corpus,
 )
+from minimt.reports import publish
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -81,12 +83,20 @@ class TestReadWrite:
     def test_write_then_read_roundtrip(self, tmp_path):
         records = [rec(src=f"s {i}", tgt=f"t {i}") for i in range(5)]
         p = tmp_path / "rt.jsonl"
-        write_corpus(records, p)
+        publish({p: corpus_jsonl(records)})
         back, _ = read_corpus(p)
         assert [split_key(r) for r in back] == [split_key(r) for r in records]
 
     def test_flags_never_serialized(self, tmp_path):
         p = tmp_path / "f.jsonl"
-        write_corpus([rec(flags={"html"})], p)
+        publish({p: corpus_jsonl([rec(flags={"html"})])})
         assert "html" not in p.read_text()
 
+
+@pytest.mark.parametrize("field, value", [
+    ("train_size", -1), ("train_size", 1.5), ("dev_size", True), ("devtest_size", "3"),
+])
+def test_split_sizes_must_be_integers_at_least_zero(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 0"):
+        SplitSpec(**{field: value})
+    assert SplitSpec(train_size=0, dev_size=0, devtest_size=0).train_size == 0

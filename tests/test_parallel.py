@@ -29,7 +29,8 @@ def test_results_come_back_in_item_order(use_cpus, cpus):
     use_cpus(cpus)
     out = map_ordered(lambda x: (x * x, os.getpid()), range(8))
     assert [value for value, _ in out] == [x * x for x in range(8)]
-    assert out[0][1] == os.getpid()     # the caller claims item 0
+    if cpus > 1:    # the caller only hands the items out
+        assert os.getpid() not in {pid for _, pid in out}
     assert_no_children()
 
 
@@ -80,40 +81,32 @@ def test_unpicklable_exception_keeps_its_type_name_and_message(use_cpus):
     assert_no_children()
 
 
-def test_worker_killed_by_a_signal_raises_worker_died(use_cpus, pipe):
+def test_worker_killed_by_a_signal_raises_worker_died(use_cpus):
     use_cpus(2)
-    caller = os.getpid()
-    read_end, write_end = pipe
 
     def fn(x):
-        if os.getpid() != caller:
-            os.write(write_end, bytes([x]))     # the item the worker took
+        if x == 3:
             os.kill(os.getpid(), signal.SIGKILL)
-        if x == 0:      # the caller's first item waits until then
-            select.select([read_end], [], [], 30)
         return x
 
     with pytest.raises(WorkerDiedError) as info:
         map_ordered(fn, range(6))
-    taken = os.read(read_end, 1)[0]
-    assert taken != 0
-    assert info.value.item == taken
-    assert f"item {taken}" in str(info.value)
-    assert info.value.exit_code == -signal.SIGKILL
+    assert info.value.item == 3
+    assert "item 3" in str(info.value)
+    assert info.value.exit_code == -9
     assert_no_children()
 
 
-def test_caller_share_failure_kills_the_workers(use_cpus):
+def test_a_failure_kills_the_workers_above_it(use_cpus):
     use_cpus(2)
-    caller = os.getpid()
 
     def fn(x):
-        if os.getpid() != caller:
+        if x == 1:
             time.sleep(60)
-        raise ValueError("caller's item")
+        raise ValueError(f"item {x}")
 
     start = time.monotonic()
-    with pytest.raises(ValueError, match="caller's item"):
+    with pytest.raises(ValueError, match="item 0"):
         map_ordered(fn, range(2))
     assert time.monotonic() - start < 30
     assert_no_children()
@@ -143,7 +136,7 @@ def test_nested_map_runs_inline(use_cpus, monkeypatch, pipe):
     read_end, write_end = pipe
 
     def fn(x):
-        if x == 0:      # the caller's item waits until the worker has one
+        if x == 0:      # item 0's worker waits until the other has an item
             assert select.select([read_end], [], [], 30)[0], "worker took no item"
         else:
             os.write(write_end, b"w")
@@ -153,13 +146,13 @@ def test_nested_map_runs_inline(use_cpus, monkeypatch, pipe):
     for pid, inner in out:
         assert inner == [pid] * 3
     assert len({pid for pid, _ in out}) == 2
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert_no_children()
 
 
 def test_a_slow_caller_item_does_not_hold_back_the_rest(use_cpus, pipe):
-    # item 0 (the caller's) waits for a byte only item 4 writes; with fixed
-    # shares item 4 would also be the caller's, and never run
+    # item 0 waits for a byte only item 4 writes, so the other worker must
+    # take items 1-5 while item 0's worker is busy
     use_cpus(2)
     read_end, write_end = pipe
 
@@ -175,8 +168,8 @@ def test_a_slow_caller_item_does_not_hold_back_the_rest(use_cpus, pipe):
 
 
 def test_many_items_map_on_two_cpus(use_cpus, pipe):
-    # more item indices than a pipe holds (64 KiB) must not block the map;
-    # the caller waits in item 0 while the worker takes all the others
+    # more results than a pipe holds (64 KiB) must not block the map; one
+    # worker waits in item 0 while the other takes all the others
     use_cpus(2)
     n = 20_000
     read_end, write_end = pipe
@@ -215,7 +208,7 @@ def test_no_item_is_claimed_after_a_failure(use_cpus, tmp_path):
 
     def fn(x):
         os.write(log, struct.pack("<i", x))
-        if x == 0:      # the caller's first item
+        if x == 0:      # fails at once
             raise ValueError("item 0")
         time.sleep(0.01)
         return x
@@ -225,14 +218,14 @@ def test_no_item_is_claimed_after_a_failure(use_cpus, tmp_path):
             map_ordered(fn, range(100))
     finally:
         os.close(log)
-    # the worker may have claimed an item or two before item 0 failed
+    # the other worker may have taken an item or two before item 0 failed
     assert len((tmp_path / "runs").read_bytes()) // 4 < 10
     assert_no_children()
 
 
 def test_every_item_runs_once_with_more_processes_than_cores(use_cpus, tmp_path):
-    # a lost update on the shared claim board would run an item twice or
-    # never; each run appends its item to a log (4-byte appends are atomic)
+    # an item handed out twice or lost would run twice or never; each run
+    # appends its item to a log (4-byte appends are atomic)
     use_cpus(6)
     n = 20_000
     log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -249,4 +242,37 @@ def test_every_item_runs_once_with_more_processes_than_cores(use_cpus, tmp_path)
     assert time.monotonic() - start < 60
     runs = (tmp_path / "runs").read_bytes()
     assert sorted(struct.unpack(f"<{len(runs) // 4}i", runs)) == list(range(n))
+    assert_no_children()
+
+
+def test_unpicklable_result_fails_the_map_on_more_than_one_cpu(use_cpus):
+    use_cpus(1)
+    assert len(map_ordered(lambda x: (lambda: x), range(3))) == 3
+    use_cpus(2)
+    for _ in range(10):
+        with pytest.raises(Exception, match="pickle"):
+            map_ordered(lambda x: (lambda: x), range(3))
+        assert_no_children()
+
+
+def test_no_descriptor_is_left_open(use_cpus):
+    use_cpus(2)
+
+    def fails(x):
+        if x == 1:
+            raise ValueError("item 1")
+        return x
+
+    def dies(x):
+        if x == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    before = len(os.listdir("/proc/self/fd"))
+    assert map_ordered(lambda x: x, range(4)) == list(range(4))
+    with pytest.raises(ValueError, match="item 1"):
+        map_ordered(fails, range(4))
+    with pytest.raises(WorkerDiedError):
+        map_ordered(dies, range(4))
+    assert len(os.listdir("/proc/self/fd")) == before
     assert_no_children()
