@@ -13,8 +13,9 @@ checkout's minimt. Digested: translate hypotheses and output token counts
 (beam 1 and 3), the PruneReport JSON and fp16 checkpoint bytes, the filter's
 kept records and FilterReport JSON with the float bytes of every semantic
 embedding and QE score it computed (a score change that flips no threshold
-decision shows too), and train's optimizer steps and dev loss. Timings are
-left out. Nothing is written inside the checkout.
+decision shows too), and train's optimizer steps, dev loss and the bytes of
+the trained weights. Timings are left out. Nothing is written inside the
+checkout.
 """
 
 from __future__ import annotations
@@ -52,15 +53,33 @@ def float_digest(calls: list) -> str:
     return h.hexdigest()
 
 
+def params_digest(model) -> str:
+    """sha256 over a model's parameter names and bytes, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(model.params[name].tobytes())
+    return h.hexdigest()
+
+
 def outputs(name: str, workload) -> list:
     """The checked outputs of one operation, timings excluded."""
+    from minimt import training
+
     if name == "filter":
         embeddings, qe_scores = [], []
         recorded(workload.scorers.embedder, "embed_batch", embeddings)
         recorded(workload.scorers.qe, "score_batch", qe_scores)
-    out = workload.op().out
     if name == "train":
-        return [out["steps"], repr(out["dev_loss"])]
+        trained, train = [], training.train
+        recorded(training, "train", trained)
+        try:
+            out = workload.op().out
+        finally:
+            training.train = train
+        (model, _log), = trained
+        return [out["steps"], repr(out["dev_loss"]), params_digest(model)]
+    out = workload.op().out
     if name == "translate":
         return [(beam, hyps, tokens) for beam, (hyps, tokens, *_) in sorted(out.items())]
     if name == "prune":

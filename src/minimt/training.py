@@ -5,10 +5,18 @@ A "step" is one optimizer update (after grad_accum_steps micro-batches);
 eval_every_steps counts those. Early stopping tolerates exactly
 early_stop_patience consecutive non-improving evaluations and stops on the
 next one; the returned model is the minimum-dev-loss snapshot.
+
+Every micro-batch is split into the same two shards, its first ceil(n/2)
+records and the rest, whatever the CPU count: a parallel.Pool that lives
+for the whole train() call computes each shard's loss and gradient (in its
+workers on two or more CPUs, inline on one), and the caller adds the
+gradients in shard order and runs Adam on weights in a shared mapping, so
+the trained bytes never depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +24,7 @@ import numpy as np
 from .corpus import split_key
 from .model import TranslationModel, batch_loss, build_batch, check_counts
 from .optim import AdamState, adam_step
+from .parallel import Pool
 from .rng import Rng
 from .tensor import Tensor, backward
 
@@ -62,13 +71,15 @@ class TrainLog:
 class PackedParams:
     """Contiguous float32 view over a model's parameters: one buffer, one
     gradient buffer, and named Tensor views whose .grad aliases the gradient
-    buffer, so the optimizer is a single vectorized update."""
+    buffer, so the optimizer is a single vectorized update. The buffer lives
+    in a shared anonymous mapping: a process forked after it sees every
+    update made in place."""
 
     def __init__(self, model: TranslationModel):
         if model.precision != "fp32":
             raise ValueError("training requires fp32 parameters")
         total = sum(a.size for a in model.params.values())
-        self.buffer = np.zeros(total, dtype=np.float32)
+        self.buffer = np.frombuffer(mmap.mmap(-1, total * 4), dtype=np.float32)
         self.grads = np.zeros(total, dtype=np.float32)
         self.tensors: dict[str, Tensor] = {}
         offset = 0
@@ -123,14 +134,14 @@ def train(model: TranslationModel, train_records, dev_records,
     work = model.clone()
     packed = PackedParams(work)
     state = AdamState.init([packed.buffer])
+    grads = np.zeros_like(packed.grads)     # a step's sum over its shards
     root = Rng(cfg.seed)
-    drop_rng = root.split("dropout") if work.config.dropout_rate > 0 else None
+    dropout = work.config.dropout_rate > 0
 
     log = TrainLog()
     best_snapshot = None
     bad_evals = 0
     accum = 0
-    micro_scale = 1.0 / cfg.grad_accum_steps
 
     def evaluate(epoch: int) -> bool:
         """Returns True when training should stop."""
@@ -153,35 +164,59 @@ def train(model: TranslationModel, train_records, dev_records,
             return True
         return False
 
+    def shard_grads(item):
+        """(loss, gradient of loss * scale) of one shard, or (loss, None)
+        when the loss is not finite."""
+        batch, scale, drop_rng = item
+        packed.zero_grads()
+        loss = batch_loss(packed.tensors, work.config, work.vocab, batch,
+                          cfg.label_smoothing, drop_rng)
+        value = float(loss.data)
+        if not np.isfinite(value):
+            return value, None
+        backward(loss * scale)
+        return value, packed.grads.copy()
+
+    def shards(epoch: int, start: int, chunk: list) -> list:
+        """Pool items of one micro-batch: each shard's batch arrays, its
+        share of the batch's non-pad target tokens over grad_accum_steps,
+        and its dropout stream."""
+        half = (len(chunk) + 1) // 2
+        batches = [build_batch(work.vocab, part, work.config.max_positions)
+                   for part in (chunk[:half], chunk[half:]) if part]
+        counts = [int((b[3] != work.vocab.pad).sum()) for b in batches]
+        return [(b, n / sum(counts) / cfg.grad_accum_steps,
+                 root.split(f"dropout:{epoch}:{start}:{k}") if dropout else None)
+                for k, (b, n) in enumerate(zip(batches, counts))]
+
     stopped = False
-    for epoch in range(cfg.max_epochs):
-        order = root.split(f"epoch:{epoch}").permutation(len(train_records))
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [train_records[int(i)] for i in order[start: start + cfg.batch_size]]
-            batch = build_batch(work.vocab, chunk, work.config.max_positions)
-            loss = batch_loss(packed.tensors, work.config, work.vocab, batch,
-                              cfg.label_smoothing, drop_rng)
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at optimizer step {log.optimizer_steps}, "
-                    f"epoch {epoch}")
-            backward(loss * micro_scale)
-            accum += 1
-            if accum < cfg.grad_accum_steps:
-                continue
-            accum = 0
-            adam_step([packed.buffer], [packed.grads], state, cfg.learning_rate)
-            packed.zero_grads()
-            log.optimizer_steps += 1
-            if log.optimizer_steps % cfg.eval_every_steps == 0:
-                if evaluate(epoch):
-                    stopped = True
-                    break
-        if stopped:
-            break
-    else:
-        log.stop_reason = "max_epochs"
+    with Pool(shard_grads, 2) as pool:
+        for epoch in range(cfg.max_epochs):
+            order = root.split(f"epoch:{epoch}").permutation(len(train_records))
+            for start in range(0, len(order), cfg.batch_size):
+                chunk = [train_records[int(i)]
+                         for i in order[start: start + cfg.batch_size]]
+                for value, g in pool.map(shards(epoch, start, chunk)):
+                    if g is None:
+                        raise TrainingDiverged(
+                            f"non-finite loss {value} at optimizer step "
+                            f"{log.optimizer_steps}, epoch {epoch}")
+                    grads += g
+                accum += 1
+                if accum < cfg.grad_accum_steps:
+                    continue
+                accum = 0
+                adam_step([packed.buffer], [grads], state, cfg.learning_rate)
+                grads[:] = 0.0
+                log.optimizer_steps += 1
+                if log.optimizer_steps % cfg.eval_every_steps == 0:
+                    if evaluate(epoch):
+                        stopped = True
+                        break
+            if stopped:
+                break
+        else:
+            log.stop_reason = "max_epochs"
 
     # make sure the final state is considered when training ran out of epochs
     if not stopped and (not log.entries or log.entries[-1].step != log.optimizer_steps):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from minimt.parallel import WorkerDiedError, map_ordered
+from minimt.parallel import Pool, WorkerDiedError, map_ordered
 
 
 def assert_no_children():
@@ -148,6 +148,40 @@ def test_nested_map_runs_inline(use_cpus, monkeypatch, pipe):
     assert len({pid for pid, _ in out}) == 2
     assert len(forks) == 2
     assert_no_children()
+
+
+def test_a_pool_keeps_its_workers_for_every_map(use_cpus, monkeypatch):
+    use_cpus(2)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    with Pool(lambda x: (x * 2, os.getpid()), 2) as pool:
+        first = pool.map(range(6))
+        second = pool.map(["a", "b"])   # items are sent, not inherited
+    assert [value for value, _ in first + second] == [0, 2, 4, 6, 8, 10, "aa", "bb"]
+    assert os.getpid() not in {pid for _, pid in first + second}
+    assert len(forks) == 2
+    assert_no_children()
+
+
+def test_a_failed_map_reaps_its_pool(use_cpus):
+    use_cpus(2)
+
+    def fn(x):
+        if x == 2:
+            raise ValueError("item 2")
+        return x
+
+    with Pool(fn, 2) as pool:
+        assert pool.map(range(2)) == [0, 1]
+        with pytest.raises(ValueError, match="item 2"):
+            pool.map(range(4))
+        assert_no_children()
 
 
 def test_a_slow_caller_item_does_not_hold_back_the_rest(use_cpus, pipe):

@@ -1,15 +1,22 @@
+import os
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import minimt.model as model_mod
+import minimt.parallel as parallel_mod
 import minimt.tensor as tensor_mod
+import minimt.training as training_mod
 from minimt.corpus import SplitSpec
 from minimt.decode import forced_token_logprobs, translate_records
 from minimt.model import ModelConfig, TranslationModel, init_model, params_as_tensors
+from minimt.parallel import WorkerDiedError
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
-from minimt.training import TrainConfig, corpus_loss, train
+from minimt.training import TrainConfig, TrainingDiverged, corpus_loss, train
 from minimt.vocab import build_vocab
 
 
@@ -25,6 +32,11 @@ def tiny_setup():
                          max_positions=48)
     model = init_model(config, vocab, Rng(11))
     return model, corpus
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def fast_cfg(**kw):
@@ -147,6 +159,23 @@ class TestCorpusLoss:
 
 
 class TestDropout:
+    def test_every_step_and_shard_draws_new_masks(self, tiny_setup, use_cpus,
+                                                   monkeypatch):
+        model, corpus = tiny_setup
+        use_cpus(1)     # every dropout call runs in this process
+        draws = []
+        real = model_mod.dropout
+
+        def recording(x, rate, rng):
+            draws.append(Rng(rng.seed).uniform(8).tobytes())   # the mask's first draws
+            return real(x, rate, rng)
+
+        monkeypatch.setattr(model_mod, "dropout", recording)
+        train(with_dropout(model, 0.1), corpus.train[:16], corpus.dev,
+              fast_cfg(max_epochs=2))
+        assert len(draws) >= 40    # 4 batches, 10 residual branches each
+        assert len(set(draws)) == len(draws)
+
     def test_training_with_dropout_is_bit_reproducible(self, tiny_setup):
         model, corpus = tiny_setup
         dropped = with_dropout(model, 0.1)
@@ -172,3 +201,83 @@ class TestDropout:
         for beam in (1, 3):
             assert (translate_records(dropped, records, beam, 20)
                     == translate_records(model, records, beam, 20))
+
+
+def recorded_batch_rows(monkeypatch) -> list:
+    """The row count of every batch training.batch_loss is called on in
+    this process, from now on."""
+    rows = []
+    real = training_mod.batch_loss
+
+    def recording(t, config, vocab, batch, *args):
+        rows.append(len(batch[0]))
+        return real(t, config, vocab, batch, *args)
+
+    monkeypatch.setattr(training_mod, "batch_loss", recording)
+    return rows
+
+
+class TestShards:
+    def test_weights_do_not_depend_on_the_cpu_count(self, tiny_setup, use_cpus):
+        model, corpus = tiny_setup
+        cfg = fast_cfg(max_epochs=1, grad_accum_steps=2)
+        trained = {}
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            trained[cpus], _ = train(with_dropout(model, 0.1), corpus.train,
+                                     corpus.dev, cfg)
+            assert_no_children()
+        for name in model.params:
+            assert trained[1].params[name].tobytes() == trained[2].params[name].tobytes()
+
+    @pytest.mark.parametrize("cpus, busy", [(1, False), (2, True)])
+    def test_a_pinned_or_nested_run_splits_every_batch_in_two(
+            self, tiny_setup, use_cpus, monkeypatch, cpus, busy):
+        model, corpus = tiny_setup
+        use_cpus(cpus)
+        monkeypatch.setattr(parallel_mod, "_busy", busy)
+        rows = recorded_batch_rows(monkeypatch)
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        # 120 records: a 119-record batch in shards of 60 and 59, then a
+        # one-record batch in one shard, then the dev evaluation's 24
+        assert (len(corpus.train), len(corpus.dev)) == (120, 24)
+        train(model, corpus.train, corpus.dev, fast_cfg(batch_size=119, max_epochs=1))
+        assert rows == [60, 59, 1, 24]
+
+
+class TestFailures:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_loss_raises_training_diverged(self, tiny_setup, use_cpus, cpus):
+        model, corpus = tiny_setup
+        use_cpus(cpus)
+        broken = model.clone()
+        broken.params["embedding"][...] = np.inf
+        with pytest.raises(TrainingDiverged,
+                           match="non-finite loss nan at optimizer step 0, epoch 0"):
+            train(broken, corpus.train, corpus.dev, fast_cfg())
+        assert_no_children()
+
+    def test_a_shard_worker_that_dies_raises_worker_died(self, tiny_setup, use_cpus,
+                                                         monkeypatch):
+        # only a worker can die: on one CPU the shards run in this process
+        model, corpus = tiny_setup
+        use_cpus(2)
+        caller = os.getpid()
+        real = training_mod.batch_loss
+
+        def dies(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(training_mod, "batch_loss", dies)
+        start = time.monotonic()
+        with pytest.raises(WorkerDiedError, match="killed by signal 9"):
+            train(model, corpus.train, corpus.dev, fast_cfg())
+        assert time.monotonic() - start < 60
+        assert_no_children()
