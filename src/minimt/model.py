@@ -22,17 +22,21 @@ from .tensor import (
     NEG_INF,
     Tensor,
     add,
+    attend,
     cross_entropy,
     dropout,
     embedding,
+    feed_forward,
     layer_norm,
     matmul,
     mul,
-    relu,
     reshape,
-    softmax,
+    split_heads,
     transpose,
 )
+# Not called here: perfbench's tracer counts calls through these names on
+# this module, so they must stay importable from it.
+from .tensor import relu, softmax  # noqa: F401
 from .vocab import Vocab, tokenize
 
 ENCODER = "encoder"
@@ -225,35 +229,23 @@ def params_as_tensors(model: TranslationModel) -> dict[str, Tensor]:
     return {k: Tensor(v) for k, v in compute_params(model).items()}
 
 
-def _split_heads(x, n_heads: int):
-    """(B, T, d) -> (B, heads, T, d / heads)."""
-    b, t, d = x.shape
-    return transpose(reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-
 def key_values(w: dict, prefix: str, x, n_heads: int):
     """Head-split keys and values of x for the attention block at prefix."""
-    return (_split_heads(matmul(x, w[f"{prefix}.wk"]), n_heads),
-            _split_heads(matmul(x, w[f"{prefix}.wv"]), n_heads))
+    return (split_heads(matmul(x, w[f"{prefix}.wk"]), n_heads),
+            split_heads(matmul(x, w[f"{prefix}.wv"]), n_heads))
 
 
 def attention(w: dict, prefix: str, x, k, v, bias, n_heads: int):
     """Scaled dot-product attention of queries from x (B, Tq, d) over
     head-split k/v (B, heads, Tk, d / heads), plus an additive bias (None for
     no mask); heads are merged and projected by the block's wo."""
-    b, tq, d = x.shape
-    q = _split_heads(matmul(x, w[f"{prefix}.wq"]), n_heads)
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), (d // n_heads)**-0.5)
-    if bias is not None:
-        scores = add(scores, bias)
-    ctx = matmul(softmax(scores, axis=-1), v)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-    return matmul(merged, w[f"{prefix}.wo"])
+    ctx = attend(matmul(x, w[f"{prefix}.wq"]), k, v, bias, n_heads)
+    return matmul(ctx, w[f"{prefix}.wo"])
 
 
 def ffn(w: dict, prefix: str, x):
-    h = relu(add(matmul(x, w[f"{prefix}.w1"]), w[f"{prefix}.b1"]))
-    return add(matmul(h, w[f"{prefix}.w2"]), w[f"{prefix}.b2"])
+    return feed_forward(x, w[f"{prefix}.w1"], w[f"{prefix}.b1"],
+                        w[f"{prefix}.w2"], w[f"{prefix}.b2"])
 
 
 def embed(w: dict, config: ModelConfig, ids: np.ndarray, start: int = 0):

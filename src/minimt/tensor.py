@@ -10,6 +10,15 @@ an ndarray or a scalar) the op returns the plain ndarray its numpy
 expression computes, with no graph bookkeeping. Otherwise it records a graph
 node, whether or not a leaf below it is trainable. So one model definition
 serves training (Tensors) and evaluation and inference (float32 arrays).
+
+Three ops are fused: split_heads, attend and feed_forward each record one
+node for a chain of the primitive ops (named in their docstrings), with a
+hand-written backward. A fused op equals its chain byte for byte: its
+forward evaluates the chain's numpy expressions in the chain's order, its
+backward does the chain's per-element arithmetic, and each gradient it
+passes on has the memory layout the chain's would have had, because a
+later gemm's rounding can depend on its operands' layout. The chains stay
+written out in tests/test_tensor.py as the oracle.
 """
 
 from __future__ import annotations
@@ -234,14 +243,22 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _result(out, (x,), bwd)
 
 
+# fast_max hands arrays of fewer rows (reductions) to ndarray.max; the
+# crossover measured on one core lies between 48 and 128 rows
+FAST_MAX_MIN_ROWS = 64
+
+
 def fast_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """x.max(axis, keepdims=True), bit for bit. NumPy reduces a short last
     axis one row at a time; reducing the leading axis of a contiguous copy
     runs elementwise maximum over whole rows instead: 3-12x faster for
-    attention scores and logits of a few hundred rows or more, ~5 us
-    slower below that. Max is exact, so only the sign of a zero maximum can
-    depend on the order: such results are recomputed the slow way."""
+    attention scores and logits of a few hundred rows or more, while below
+    FAST_MAX_MIN_ROWS rows the copy's fixed cost loses. Max is exact, so
+    only the sign of a zero maximum can depend on the order: such results
+    are recomputed the slow way."""
     axis = axis % x.ndim
+    if x.size < FAST_MAX_MIN_ROWS * x.shape[axis]:
+        return x.max(axis=axis, keepdims=True)
     order = (axis, *range(axis), *range(axis + 1, x.ndim))
     m = np.maximum.reduce(x.transpose(order).copy(), axis=0)
     if not m.all():
@@ -263,6 +280,86 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         _accum_owned(x, out * (g - inner))
 
     return _result(out, (x,), bwd)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(B, heads, T, dh) -> (B, T, heads * dh): a view where the axes merge
+    (keeping x's memory order), a C-order copy otherwise."""
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(B, T, d) -> (B, heads, T, d / heads): reshape + transpose."""
+    xd = _raw(x)
+    b, t, d = xd.shape
+    out = xd.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    if xd is x:
+        return out
+
+    def bwd(g):
+        # may be a view of g, as the chain's reshape handed on
+        _accum(x, _merge_heads(g))
+
+    return _result(out, (x,), bwd)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, bias, n_heads: int) -> Tensor:
+    """Scaled dot-product attention of flat queries q (B, Tq, d) over
+    head-split keys and values (B, heads, Tk, d / heads), plus an additive
+    bias array (None for no mask); heads are merged back to (B, Tq, d).
+    The chain split_heads(q), transpose(k), matmul, mul by the scale, add
+    bias, softmax, matmul, transpose, reshape as one node."""
+    qd, kd, vd = _raw(q), _raw(k), _raw(v)
+    scale = (qd.shape[-1] // n_heads)**-0.5
+    qh = split_heads(qd, n_heads)
+    scores = (qh @ kd.transpose(0, 1, 3, 2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    p = softmax(scores, axis=-1)
+    out = _merge_heads(p @ vd)
+    if qd is q and kd is k and vd is v:
+        return out
+
+    def bwd(g):
+        # a view of g: the chain's copies kept g's memory order
+        gctx = split_heads(g, n_heads)
+        if isinstance(v, Tensor):
+            _accum_owned(v, p.swapaxes(-1, -2) @ gctx)
+        gp = gctx @ vd.swapaxes(-1, -2)
+        inner = (gp * p).sum(axis=-1, keepdims=True)
+        gs = (p * (gp - inner)) * scale
+        if isinstance(k, Tensor):
+            _accum_owned(k, (qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        if isinstance(q, Tensor):
+            _accum_owned(q, _merge_heads(gs @ kd))
+
+    return _result(out, (q, k, v), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2: the chain matmul, add, relu, matmul, add
+    as one node."""
+    xd, w1d, b1d, w2d, b2d = _raw(x), _raw(w1), _raw(b1), _raw(w2), _raw(b2)
+    h = np.maximum(xd @ w1d + b1d, 0.0)
+    out = h @ w2d + b2d
+    if xd is x and w1d is w1 and b1d is b1 and w2d is w2 and b2d is b2:
+        return out
+
+    def bwd(g):
+        if isinstance(b2, Tensor):
+            _accum(b2, _unbroadcast(g, b2d.shape))
+        if isinstance(w2, Tensor):
+            _accum_owned(w2, _unbroadcast(h.swapaxes(-1, -2) @ g, w2d.shape))
+        gz = (g @ w2d.swapaxes(-1, -2)) * (h > 0)
+        if isinstance(b1, Tensor):
+            _accum(b1, _unbroadcast(gz, b1d.shape))
+        if isinstance(w1, Tensor):
+            _accum_owned(w1, _unbroadcast(xd.swapaxes(-1, -2) @ gz, w1d.shape))
+        if isinstance(x, Tensor):
+            _accum_owned(x, gz @ w1d.swapaxes(-1, -2))
+
+    return _result(out, (x, w1, b1, w2, b2), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
+
 from minimt.model import ModelConfig, batch_loss, init_model
 from minimt.rng import Rng
-from minimt.tensor import Tensor, backward, shadow_float64
+from minimt.tensor import Tensor, backward, mul, shadow_float64, sum_all
 from minimt.vocab import build_vocab
 
 
@@ -12,6 +14,44 @@ class FakeRecord:
     def __init__(self, src, tgt, src_lang, tgt_lang):
         self.src, self.tgt = src, tgt
         self.src_lang, self.tgt_lang = src_lang, tgt_lang
+
+
+def finite_diff(make_loss, t, h=1e-5):
+    """Central finite differences of a scalar loss wrt tensor t (t must be
+    float64 for this to be meaningful)."""
+    grad = np.zeros_like(t.data)
+    flat = t.data.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = float(make_loss().data)
+        flat[i] = orig - h
+        lo = float(make_loss().data)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2 * h)
+    return grad
+
+
+def check_op_gradients(op, arrays, h=1e-5):
+    """Analytic gradients of sum(op(*operands) * dy), dy a fixed random
+    weighting, w.r.t. float64 Tensors over arrays vs central differences.
+    Returns the largest relative error over every operand element."""
+    with shadow_float64():
+        operands = [Tensor(np.array(a, dtype=np.float64), requires_grad=True)
+                    for a in arrays]
+        dy = Rng(0).normal(op(*operands).shape, dtype=np.float64)
+
+        def loss():
+            return sum_all(mul(op(*operands), dy))
+
+        backward(loss())
+        worst = 0.0
+        for t in operands:
+            num = finite_diff(loss, t, h)
+            rel = np.abs(t.grad - num) / np.maximum(np.abs(num), 1e-6)
+            worst = max(worst, float(rel.max()))
+    return worst
 
 
 def micro_model_and_batch(seed, d_model=8, n_heads=2, ffn_dim=16,

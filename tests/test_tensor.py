@@ -6,15 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minimt.model import ModelConfig, batch_loss, build_batch, init_model
+from minimt.model import (
+    ModelConfig,
+    batch_loss,
+    build_batch,
+    causal_bias,
+    init_model,
+    pad_bias,
+)
 from minimt.rng import Rng
 from minimt.tensor import (
+    FAST_MAX_MIN_ROWS,
     Tensor,
     add,
+    attend,
     backward,
     cross_entropy,
     embedding,
     fast_max,
+    feed_forward,
     layer_norm,
     matmul,
     mul,
@@ -22,12 +32,18 @@ from minimt.tensor import (
     reshape,
     shadow_float64,
     softmax,
+    split_heads,
     sum_all,
     transpose,
 )
 from minimt.vocab import build_vocab
 
-from .gradcheck import FakeRecord, micro_model_and_batch
+from .gradcheck import (
+    FakeRecord,
+    check_op_gradients,
+    finite_diff,
+    micro_model_and_batch,
+)
 
 
 def triple_loop_matmul(a, b):
@@ -72,7 +88,7 @@ class TestMatmul:
             backward(loss)
         # d(sum(A@B))/dA = ones @ B^T broadcast; check against finite differences
         for t in (a, b):
-            num = _finite_diff(lambda: sum_all(matmul(a, b)), t)
+            num = finite_diff(lambda: sum_all(matmul(a, b)), t)
             assert np.max(np.abs(t.grad - num)) < 1e-6
 
 
@@ -108,23 +124,6 @@ class TestSoftmax:
         assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def _finite_diff(make_loss, t, h=1e-5):
-    """Central finite differences of a scalar loss wrt tensor t (t must be
-    float64 for this to be meaningful)."""
-    grad = np.zeros_like(t.data)
-    flat = t.data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = float(make_loss().data)
-        flat[i] = orig - h
-        lo = float(make_loss().data)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
-    return grad
-
-
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         x = Tensor(np.full((2, 4), 3.0, dtype=np.float32))
@@ -154,7 +153,7 @@ class TestLayerNorm:
 
             backward(loss())
             for t in (x, g, b):
-                num = _finite_diff(loss, t, h=1e-3)
+                num = finite_diff(loss, t, h=1e-3)
                 rel = np.abs(t.grad - num) / np.maximum(np.abs(num), 1e-4)
                 assert np.max(rel) < 1e-3
 
@@ -196,6 +195,100 @@ class TestLayerNormBytes:
         assert layer_norm(x_, g_, b_).tobytes() == want[0].tobytes()
 
 
+def _chain_split_heads(x, n_heads):
+    b, t, d = x.shape
+    return transpose(reshape(x, (b, t, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+
+def _chain_attend(q, k, v, bias, n_heads):
+    """attend written out from the primitive ops."""
+    b, tq, d = q.shape
+    scores = mul(matmul(_chain_split_heads(q, n_heads), transpose(k, (0, 1, 3, 2))),
+                 (d // n_heads)**-0.5)
+    if bias is not None:
+        scores = add(scores, bias)
+    ctx = matmul(softmax(scores, axis=-1), v)
+    return reshape(transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+
+
+def _chain_feed_forward(x, w1, b1, w2, b2):
+    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+
+
+def _biases(tq, tk):
+    yield None
+    yield pad_bias(np.array([tk, tk - 2, 1]), tk)
+    if tq == tk:
+        yield causal_bias(tk)
+
+
+class TestFusedOps:
+    """A fused op gives its chain of primitive ops' output and gradients
+    byte for byte, and every gradient in the chain's memory layout, which
+    the gemms of a model's backward pass can see."""
+
+    H = 4
+
+    def _run(self, op, arrays, trainable, dy):
+        operands = [Tensor(a.copy(), requires_grad=True) if train else a
+                    for a, train in zip(arrays, trainable)]
+        out = op(*operands)
+        backward(sum_all(mul(out, dy)))
+        return out.data, [t.grad for t in operands if isinstance(t, Tensor)]
+
+    def _assert_same(self, fused, chain, arrays, trainable):
+        dy = Rng(99).normal(fused(*arrays).shape)
+        (out, grads), (want, want_grads) = (self._run(op, arrays, trainable, dy)
+                                            for op in (fused, chain))
+        assert out.dtype == want.dtype == np.float32
+        assert out.tobytes() == want.tobytes()
+        assert len(grads) == len(want_grads) == sum(trainable)
+        for got, expected in zip(grads, want_grads):
+            assert got.dtype == np.float32
+            assert (got.shape, got.strides) == (expected.shape, expected.strides)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tq,tk", [(7, 7), (5, 9), (1, 6)])
+    @pytest.mark.parametrize("kv_trainable", [True, False])
+    def test_attend_equals_its_chain(self, tq, tk, kv_trainable):
+        r, h = Rng(tq * 10 + tk), self.H
+        q, k, v = r.normal((3, tq, 32)), r.normal((3, tk, 32)), r.normal((3, tk, 32))
+        for bias in _biases(tq, tk):
+            self._assert_same(
+                lambda q, k, v: attend(q, split_heads(k, h), split_heads(v, h), bias, h),
+                lambda q, k, v: _chain_attend(q, _chain_split_heads(k, h),
+                                              _chain_split_heads(v, h), bias, h),
+                (q, k, v), (True, kv_trainable, kv_trainable))
+
+    def test_split_heads_equals_its_chain(self):
+        x = Rng(50).normal((3, 5, 32))
+        self._assert_same(lambda x: split_heads(x, self.H),
+                          lambda x: _chain_split_heads(x, self.H), (x,), (True,))
+
+    @pytest.mark.parametrize("trainable", [(True,) * 5, (False,) + (True,) * 4,
+                                           (True,) + (False,) * 4])
+    def test_feed_forward_equals_its_chain(self, trainable):
+        r = Rng(51)
+        arrays = (r.normal((3, 7, 32)), r.normal((32, 64)), r.normal((64,)),
+                  r.normal((64, 32)), r.normal((32,)))
+        self._assert_same(feed_forward, _chain_feed_forward, arrays, trainable)
+
+    def test_gradients_match_finite_differences(self):
+        r = Rng(52)
+        q, k, v = r.normal((3, 2, 8)), r.normal((3, 4, 8)), r.normal((3, 4, 8))
+        for bias in _biases(2, 4):
+            assert check_op_gradients(
+                lambda q, k, v: attend(q, split_heads(k, 2), split_heads(v, 2), bias, 2),
+                (q, k, v)) < 1e-6
+        x = r.normal((3, 4, 8))
+        assert check_op_gradients(lambda x: attend(x, split_heads(x, 2),
+                                                   split_heads(x, 2), causal_bias(4), 2),
+                                  (x,)) < 1e-6
+        ffn_arrays = (r.normal((2, 3, 4)), r.normal((4, 6)), r.normal((6,)),
+                      r.normal((6, 4)), r.normal((4,)))
+        assert check_op_gradients(feed_forward, ffn_arrays) < 1e-6
+
+
 class TestFastMax:
     """fast_max equals np.max(x, axis, keepdims=True) byte for byte."""
 
@@ -231,6 +324,15 @@ class TestFastMax:
             self._check(rng.choice([0.0, -0.0], size=(5, n)).astype(dtype))
             self._check(rng.choice([0.0, -0.0, -1.0, -np.inf],
                                    size=(2, 3, n)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_either_side_of_the_row_threshold(self, dtype):
+        rng = np.random.default_rng(2)
+        for rows in (FAST_MAX_MIN_ROWS - 1, FAST_MAX_MIN_ROWS, FAST_MAX_MIN_ROWS + 1):
+            for shape in ((rows, 29), (rows, 1, 1, 10)):
+                self._check(rng.standard_normal(shape).astype(dtype))
+                self._check(rng.choice(self.SPECIAL, size=shape).astype(dtype))
+                self._check(rng.choice([0.0, -0.0], size=shape).astype(dtype))
 
 
 class TestCrossEntropy:
@@ -285,7 +387,7 @@ class TestCrossEntropy:
                 return cross_entropy(x, targets, label_smoothing=0.1)
 
             backward(loss())
-            num = _finite_diff(loss, x, h=1e-4)
+            num = finite_diff(loss, x, h=1e-4)
             rel = np.abs(x.grad - num) / np.maximum(np.abs(num), 1e-5)
             assert np.max(rel) < 1e-3
 
@@ -319,6 +421,16 @@ class TestBackward:
         y = relu(softmax(t, axis=-1) + t * 2.0 - 0.5)
         backward(sum_all(y))
         assert np.array_equal(t.data, x)
+
+        r = Rng(33)
+        arrays = (r.normal((2, 3, 4)), r.normal((4, 4)), r.normal((4,)))
+        bias = pad_bias(np.array([3, 2]), 3)
+        saved = [a.copy() for a in (*arrays, bias)]
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        a = attend(x, split_heads(x, 2), split_heads(x, 2), bias, 2)
+        backward(sum_all(feed_forward(a, w, b, w, b)))
+        for arr, before in zip((*arrays, bias), saved):
+            assert np.array_equal(arr, before)
 
     def test_reshape_transpose_roundtrip_grad(self):
         x = Tensor(Rng(32).normal((2, 3, 4)), requires_grad=True)
@@ -388,6 +500,10 @@ class TestPlainArrays:
             (softmax, (x,)), (layer_norm, (x, g, b)), (embedding, (w, ids)),
             (sum_all, (x,)),
             (lambda a: cross_entropy(a, np.array([1, 2])), (x[0, :2],)),
+            (lambda a: split_heads(a, 2), (x,)),
+            (lambda q, k, v: attend(q, k, v, causal_bias(3), 2),
+             (x, r.normal((2, 2, 3, 2)), r.normal((2, 2, 3, 2)))),
+            (feed_forward, (x, w, b, w, g)),
         ]
         for op, args in cases:
             plain = op(*args)
