@@ -24,10 +24,10 @@ from .model import (
     decode_batch,
     decoder_states,
     encode_batch,
-    encoder_input_ids,
     key_values,
     output_logits,
     pad_bias,
+    source_batch,
 )
 from .parallel import map_ordered
 from .tensor import fast_max
@@ -158,14 +158,8 @@ def encode_sources(model: TranslationModel,
     """Encode a nonempty batch of (src_text, src_lang, tgt_lang) triples."""
     if not sources:
         raise ValueError("no sources to encode")
-    enc_inputs = [encoder_input_ids(model.vocab, text, sl) for text, sl, _ in sources]
-    too_long = [i for i, s in enumerate(enc_inputs) if len(s) > model.config.max_positions]
-    if too_long:
-        raise ValueError(f"source {too_long[0]} exceeds max_positions")
-    src_ids = np.zeros((len(enc_inputs), max(map(len, enc_inputs))), dtype=np.int64)
-    for i, s in enumerate(enc_inputs):
-        src_ids[i, : len(s)] = s
-    src_len = np.array([len(s) for s in enc_inputs], dtype=np.int64)
+    src_ids, src_len = source_batch(
+        model.vocab, [(text, sl) for text, sl, _ in sources], model.config.max_positions)
     enc, bias = encode_np(compute_params(model), model.config, src_ids, src_len)
     return EncodedSources(tuple(sources), enc, bias, _encoder_key(model))
 

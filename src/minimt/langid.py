@@ -12,12 +12,14 @@ import unicodedata
 from dataclasses import dataclass
 
 MIN_SEED_SENTENCES = 50
+MAX_NGRAM = 3
 
 
-def char_ngrams(text: str, lo: int = 1, hi: int = 3) -> list[str]:
+def char_ngrams(text: str) -> list[str]:
+    """The 1- to MAX_NGRAM-grams of the NFC-normalized text, shortest first."""
     text = unicodedata.normalize("NFC", text)
     out = []
-    for n in range(lo, hi + 1):
+    for n in range(1, MAX_NGRAM + 1):
         out.extend(text[i: i + n] for i in range(len(text) - n + 1))
     return out
 

@@ -362,38 +362,43 @@ def decoder_start_ids(vocab: Vocab, tgt_lang: str) -> list[int]:
     return [vocab.lang_tag(tgt_lang), vocab.bos]
 
 
+def _pad_rows(rows) -> np.ndarray:
+    """int64 array of the id lists, right-padded with pad=0 to the longest."""
+    out = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def source_batch(vocab: Vocab, sources, max_positions: int):
+    """(src_ids, src_len) of a nonempty list of (src_text, src_lang) pairs:
+    the encoder inputs padded with pad=0, and their lengths."""
+    srcs = [encoder_input_ids(vocab, text, lang) for text, lang in sources]
+    for (text, _), ids in zip(sources, srcs):
+        if len(ids) > max_positions:
+            raise ValueError(
+                f"source exceeds max_positions={max_positions}: src={text[:40]!r}")
+    return _pad_rows(srcs), np.array([len(s) for s in srcs], dtype=np.int64)
+
+
 def build_batch(vocab: Vocab, records, max_positions: int):
     """Teacher-forcing batch arrays for a list of (src, tgt) records.
 
     Returns (src_ids, src_len, dec_in, dec_tgt) padded with pad=0; dec_tgt is
     dec_in shifted left with eos appended and position 0 ignored (pad).
     """
-    srcs, decs, tgts = [], [], []
+    src_ids, src_len = source_batch(
+        vocab, [(r.src, r.src_lang) for r in records], max_positions)
+    decs, tgts = [], []
     for r in records:
-        enc = encoder_input_ids(vocab, r.src, r.src_lang)
         tgt_toks = tokenize(r.tgt, vocab)
         dec = decoder_start_ids(vocab, r.tgt_lang) + tgt_toks
-        tgt = [vocab.pad] + tgt_toks + [vocab.eos]
-        if len(enc) > max_positions or len(dec) > max_positions:
+        if len(dec) > max_positions:
             raise ValueError(
-                f"sequence exceeds max_positions={max_positions}: src={r.src[:40]!r}")
-        srcs.append(enc)
+                f"target exceeds max_positions={max_positions}: tgt={r.tgt[:40]!r}")
         decs.append(dec)
-        tgts.append(tgt)
-
-    def pad_to(rows, width):
-        out = np.zeros((len(rows), width), dtype=np.int64)
-        for i, row in enumerate(rows):
-            out[i, : len(row)] = row
-        return out
-
-    ts = max(len(s) for s in srcs)
-    td = max(len(d) for d in decs)
-    src_ids = pad_to(srcs, ts)
-    src_len = np.array([len(s) for s in srcs], dtype=np.int64)
-    dec_in = pad_to(decs, td)
-    dec_tgt = pad_to(tgts, td)
-    return src_ids, src_len, dec_in, dec_tgt
+        tgts.append([vocab.pad] + tgt_toks + [vocab.eos])
+    return src_ids, src_len, _pad_rows(decs), _pad_rows(tgts)
 
 
 def batch_loss(t: dict, config: ModelConfig, vocab: Vocab, batch,
@@ -448,13 +453,15 @@ def remove_layers(model: TranslationModel, side: str, indices) -> TranslationMod
 
 def quantize_fp16(model: TranslationModel) -> TranslationModel:
     """Store every weight tensor as IEEE half (round-to-nearest-even).
-    Compute paths upcast to float32; only storage shrinks."""
+    Compute paths upcast to float32; only storage shrinks. A tensor with a
+    NaN, an infinity or a value beyond the fp16 range is an error."""
     if model.precision != "fp32":
         raise ValueError("model is already half precision")
-    too_big = [name for name, a in model.params.items()
-               if np.abs(a).max(initial=0.0) > FP16_MAX]
-    if too_big:
-        raise ValueError(f"weights exceed fp16 range in tensors: {too_big}")
+    # not (max <= FP16_MAX) also holds for a NaN maximum
+    bad = [name for name, a in model.params.items()
+           if not np.abs(a).max(initial=0.0) <= FP16_MAX]
+    if bad:
+        raise ValueError(f"weights are not finite or exceed fp16 range in tensors: {bad}")
     new_params = {k: v.astype(np.float16) for k, v in model.params.items()}
     return TranslationModel(model.config, model.vocab, new_params,
                             "fp16", dict(model.metadata))

@@ -27,13 +27,13 @@ class Rng:
         h = hashlib.blake2b(f"{self.seed}\x1f{label}".encode(), digest_size=8)
         return Rng(int.from_bytes(h.digest(), "little"))
 
-    def normal(self, shape, std: float = 1.0, dtype=None) -> np.ndarray:
-        dtype = dtype or _tensor.default_dtype()
-        return (self._gen.standard_normal(shape) * std).astype(dtype)
+    def normal(self, shape, std: float = 1.0) -> np.ndarray:
+        """Draws in the tensor module's default dtype."""
+        return (self._gen.standard_normal(shape) * std).astype(_tensor.default_dtype())
 
-    def uniform(self, shape, low: float = 0.0, high: float = 1.0, dtype=None) -> np.ndarray:
-        dtype = dtype or _tensor.default_dtype()
-        return self._gen.uniform(low, high, shape).astype(dtype)
+    def uniform(self, shape) -> np.ndarray:
+        """Draws from [0, 1) in the tensor module's default dtype."""
+        return self._gen.uniform(0.0, 1.0, shape).astype(_tensor.default_dtype())
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

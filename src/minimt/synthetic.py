@@ -25,6 +25,10 @@ WRONG_LANG = "wrong_lang"
 
 NOISE_CLASSES = (HTML, EMPTY, SHORT, LONG, MISALIGNED, DUPLICATE, WRONG_LANG)
 
+# words per generated sentence, both ends inclusive
+MIN_WORDS = 3
+MAX_WORDS = 6
+
 _DEFAULT_LEXICONS = {
     "anu_Latn": ("zilo", "unat", "dumo", "trel", "kvar",
                  "fimo", "sest", "sepi", "okto", "nona"),
@@ -41,8 +45,6 @@ class ToyLanguageSpec:
 
     lexicons: dict[str, tuple[str, ...]] = field(
         default_factory=lambda: dict(_DEFAULT_LEXICONS))
-    min_words: int = 3
-    max_words: int = 6
 
     def __post_init__(self):
         all_words = [w for lex in self.lexicons.values() for w in lex]
@@ -103,13 +105,11 @@ class SyntheticCorpus:
     directions: list[tuple[str, str]]
 
 
-def _unique_sentences(spec: ToyLanguageSpec, n: int, rng: Rng,
-                      n_words: tuple[int, int] | None = None):
-    lo, hi = n_words or (spec.min_words, spec.max_words)
+def _unique_sentences(n: int, rng: Rng):
     seen = set()
     out = []
     while len(out) < n:
-        length = int(rng.integers(lo, hi + 1))
+        length = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
         digits = tuple(int(d) for d in rng.integers(0, 10, length))
         if digits in seen:
             continue
@@ -185,7 +185,7 @@ def generate_synthetic_corpus(spec: ToyLanguageSpec, sizes: SplitSpec,
             raise ValueError(f"direction {s}-{t} uses an unknown language")
 
     total = sizes.train_size + sizes.dev_size + sizes.devtest_size
-    bases = _unique_sentences(spec, total, root.split("bases"))
+    bases = _unique_sentences(total, root.split("bases"))
     train_b = bases[: sizes.train_size]
     dev_b = bases[sizes.train_size: sizes.train_size + sizes.dev_size]
     devtest_b = bases[sizes.train_size + sizes.dev_size:]
@@ -228,5 +228,5 @@ def langid_seed_corpus(spec: ToyLanguageSpec, n_per_lang: int, seed: int) -> dic
     for lang in spec.languages:
         rng = root.split(f"langid:{lang}")
         out[lang] = [spec.render(d, lang)
-                     for d in _unique_sentences(spec, n_per_lang, rng)]
+                     for d in _unique_sentences(n_per_lang, rng)]
     return out

@@ -32,6 +32,9 @@ _DEFAULT_DTYPE = np.float32
 # additive mask value for attention; large but finite so softmax stays NaN-free
 NEG_INF = -1.0e9
 
+# a Python float: a NumPy float64 scalar would promote float32 activations
+LAYER_NORM_EPSILON = 1e-5
+
 
 def default_dtype():
     return _DEFAULT_DTYPE
@@ -73,33 +76,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; the right operand may be a Tensor, ndarray, or scalar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, _neg_const(other))
-
+    # the right operand may be a Tensor, ndarray, or scalar
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-
-def _neg_const(x):
-    if isinstance(x, Tensor):
-        return mul(x, -1.0)
-    return -_raw(x)
 
 
 def _result(data, operands, bwd) -> Tensor:
@@ -362,7 +341,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     return _result(out, (x, w1, b1, w2, b2), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     xd, gd, bd = _raw(x), _raw(gain), _raw(bias)
     if gd.shape != xd.shape[-1:] or bd.shape != xd.shape[-1:]:
@@ -373,7 +352,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, epsilon: float = 1e-5) -> 
     mu = np.add.reduce(xd, axis=-1, keepdims=True) / d
     centered = xd - mu
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat = centered * inv
     out = xhat * gd + bd
     if xd is x and gd is gain and bd is bias:
@@ -433,9 +412,10 @@ def sum_all(x: Tensor) -> Tensor:
     return _result(out, (x,), bwd)
 
 
-def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
-                  ignore_index: int | None = None) -> Tensor:
-    """Mean negative log-likelihood over non-ignored rows.
+def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0, *,
+                  ignore_index: int) -> Tensor:
+    """Mean negative log-likelihood over the rows whose target is not
+    ignore_index.
 
     With smoothing eps, the per-row target distribution puts (1 - eps) on the
     gold class and eps/vocab on every other class.
@@ -448,7 +428,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0,
     if targets.shape != (n,):
         raise ValueError(f"targets shape {targets.shape} does not match batch {n}")
 
-    keep = np.ones(n, dtype=bool) if ignore_index is None else targets != ignore_index
+    keep = targets != ignore_index
     count = int(keep.sum())
     if count == 0:
         raise ValueError("cross_entropy: every target is ignored")

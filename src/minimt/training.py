@@ -68,6 +68,10 @@ class TrainLog:
     optimizer_steps: int = 0
 
 
+# records per chunk of a dev-loss evaluation
+EVAL_BATCH_SIZE = 64
+
+
 class PackedParams:
     """Contiguous float32 view over a model's parameters: one buffer, one
     gradient buffer, and named Tensor views whose .grad aliases the gradient
@@ -101,7 +105,7 @@ class PackedParams:
 
 
 def corpus_loss(tensors: dict, model: TranslationModel, records,
-                label_smoothing: float, batch_size: int = 64) -> float:
+                label_smoothing: float) -> float:
     """Token-weighted mean cross-entropy over a record list (no dropout),
     computed on the float32 arrays behind the given weights (Tensors or
     arrays), so no autodiff graph is built."""
@@ -109,8 +113,8 @@ def corpus_loss(tensors: dict, model: TranslationModel, records,
     vocab, config = model.vocab, model.config
     total = 0.0
     count = 0
-    for start in range(0, len(records), batch_size):
-        chunk = records[start: start + batch_size]
+    for start in range(0, len(records), EVAL_BATCH_SIZE):
+        chunk = records[start: start + EVAL_BATCH_SIZE]
         batch = build_batch(vocab, chunk, config.max_positions)
         n_tokens = int((batch[3] != vocab.pad).sum())
         loss = batch_loss(w, config, vocab, batch, label_smoothing)
@@ -133,7 +137,7 @@ def train(model: TranslationModel, train_records, dev_records,
 
     work = model.clone()
     packed = PackedParams(work)
-    state = AdamState.init([packed.buffer])
+    state = AdamState.init(packed.buffer)
     grads = np.zeros_like(packed.grads)     # a step's sum over its shards
     root = Rng(cfg.seed)
     dropout = work.config.dropout_rate > 0
@@ -206,7 +210,7 @@ def train(model: TranslationModel, train_records, dev_records,
                 if accum < cfg.grad_accum_steps:
                     continue
                 accum = 0
-                adam_step([packed.buffer], [grads], state, cfg.learning_rate)
+                adam_step(packed.buffer, grads, state, cfg.learning_rate)
                 grads[:] = 0.0
                 log.optimizer_steps += 1
                 if log.optimizer_steps % cfg.eval_every_steps == 0:

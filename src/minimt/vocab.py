@@ -81,9 +81,9 @@ def build_vocab(alphabet, language_codes) -> Vocab:
     return Vocab(tokens, tags)
 
 
-def vocab_from_corpus(records, language_codes=None) -> Vocab:
+def vocab_from_corpus(records) -> Vocab:
     chars = set()
-    codes = set(language_codes or ())
+    codes = set()
     for r in records:
         chars.update(r.src)
         chars.update(r.tgt)

@@ -40,7 +40,7 @@ def check_op_gradients(op, arrays, h=1e-5):
     with shadow_float64():
         operands = [Tensor(np.array(a, dtype=np.float64), requires_grad=True)
                     for a in arrays]
-        dy = Rng(0).normal(op(*operands).shape, dtype=np.float64)
+        dy = Rng(0).normal(op(*operands).shape)
 
         def loss():
             return sum_all(mul(op(*operands), dy))

@@ -15,7 +15,8 @@ def model(seeds):
 
 
 def test_ngram_extraction():
-    assert char_ngrams("ab", 1, 3) == ["a", "b", "ab"]
+    assert char_ngrams("ab") == ["a", "b", "ab"]
+    assert char_ngrams("abcd")[-2:] == ["abc", "bcd"]
 
 
 def test_posterior_sums_to_one(model):

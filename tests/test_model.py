@@ -168,6 +168,13 @@ class TestQuantize:
         with pytest.raises(ValueError, match="enc.0.ffn.w1"):
             quantize_fp16(m)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_names_offending_tensor(self, small_model, value):
+        m = small_model.clone()
+        m.params["dec.0.cross.wv"][1, 2] = value
+        with pytest.raises(ValueError, match=r"not finite.*dec\.0\.cross\.wv"):
+            quantize_fp16(m)
+
     def test_roundtrip_error_within_half_ulp(self, small_model):
         q = quantize_fp16(small_model)
         for name in ("embedding", "dec.0.self.wq"):

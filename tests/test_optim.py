@@ -10,8 +10,8 @@ from minimt.rng import Rng
 def test_zero_grads_leave_params_exactly_unchanged():
     p = Rng(0).normal((5, 3))
     before = p.copy()
-    state = AdamState.init([p])
-    adam_step([p], [np.zeros_like(p)], state, lr=0.1)
+    state = AdamState.init(p)
+    adam_step(p, np.zeros_like(p), state, lr=0.1)
     assert np.array_equal(p, before)
     assert state.step_count == 1
 
@@ -19,8 +19,8 @@ def test_zero_grads_leave_params_exactly_unchanged():
 def test_single_scalar_step_matches_hand_formula():
     p = np.array([0.5], dtype=np.float32)
     g = np.array([1.0], dtype=np.float32)
-    state = AdamState.init([p])
-    adam_step([p], [g], state, lr=0.1)
+    state = AdamState.init(p)
+    adam_step(p, g, state, lr=0.1)
     # hand evaluation of the recurrence with defaults b1=0.9 b2=0.999 eps=1e-8:
     # m=0.1, v=0.001, m_hat=1, v_hat=1, update=0.1*1/(1+1e-8)
     want = 0.5 - 0.1 * 1.0 / (math.sqrt(1.0) + 1e-8)
@@ -33,9 +33,9 @@ def test_two_steps_match_float64_reference_recurrence():
         np.array([1.0, -2.0], dtype=np.float32),
         np.array([0.5, 0.25], dtype=np.float32),
     ]
-    state = AdamState.init([p])
+    state = AdamState.init(p)
     for g in grads:
-        adam_step([p], [g], state, lr=0.01)
+        adam_step(p, g, state, lr=0.01)
 
     # independent float64 recurrence
     b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
@@ -52,26 +52,14 @@ def test_two_steps_match_float64_reference_recurrence():
 
 def test_nan_grads_raise():
     p = np.zeros(3, dtype=np.float32)
-    state = AdamState.init([p])
+    state = AdamState.init(p)
     bad = np.array([0.0, np.nan, 0.0], dtype=np.float32)
     with pytest.raises(ValueError, match="finite"):
-        adam_step([p], [bad], state, lr=0.1)
+        adam_step(p, bad, state, lr=0.1)
 
 
 def test_shape_mismatch_raises():
     p = np.zeros(3, dtype=np.float32)
-    state = AdamState.init([p])
+    state = AdamState.init(p)
     with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4, dtype=np.float32)], state, lr=0.1)
-
-
-def test_multiple_param_tensors():
-    a = Rng(1).normal((3,))
-    b = Rng(2).normal((2, 2))
-    state = AdamState.init([a, b])
-    ga, gb = np.ones_like(a), np.ones_like(b)
-    adam_step([a, b], [ga, gb], state, lr=0.1)
-    adam_step([a, b], [ga, gb], state, lr=0.1)
-    assert state.step_count == 2
-    assert state.first_moment[0].shape == (3,)
-    assert state.second_moment[1].shape == (2, 2)
+        adam_step(p, np.zeros(4, dtype=np.float32), state, lr=0.1)

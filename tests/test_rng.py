@@ -1,6 +1,7 @@
 import numpy as np
 
 from minimt.rng import Rng
+from minimt.tensor import shadow_float64
 
 
 def test_same_seed_same_stream():
@@ -35,6 +36,12 @@ def test_nested_split_paths_distinct():
 def test_default_dtype_is_float32():
     assert Rng(0).normal((2,)).dtype == np.float32
     assert Rng(0).uniform((2,)).dtype == np.float32
+
+
+def test_draws_are_float64_under_shadow():
+    with shadow_float64():
+        assert Rng(0).normal((2,)).dtype == np.float64
+        assert Rng(0).uniform((2,)).dtype == np.float64
 
 
 def test_permutation_and_choice_deterministic():
