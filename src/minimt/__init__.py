@@ -33,7 +33,7 @@ from .corpus import (
     SplitSpec,
     read_corpus,
 )
-from .decode import BeamResult, encode_sources, translate_batch, translate_records
+from .decode import BeamResult, translate_batch, translate_records
 from .filtering import (
     FilterConfig,
     FilterReport,

@@ -126,6 +126,7 @@ def model_from_bytes(blob: bytes) -> TranslationModel:
         config = ModelConfig(**header["config"])
         vocab = _vocab_from_json(header["vocab"])
         params: dict[str, np.ndarray] = {}
+        non_finite = []
         for entry in header["tensors"]:
             start, nbytes = entry["offset"], entry["nbytes"]
             if start + nbytes > len(payload):
@@ -137,6 +138,12 @@ def model_from_bytes(blob: bytes) -> TranslationModel:
             arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype)
             arr = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="), copy=True)
             params[entry["name"]] = arr
+            if not np.isfinite(arr).all():
+                non_finite.append(entry)
+        if non_finite:
+            raise CheckpointError(
+                f"non-finite weights in tensors: {[e['name'] for e in non_finite]}",
+                byte_offset=header_end + non_finite[0]["offset"])
         return TranslationModel(config, vocab, params, header["precision"],
                                 header.get("metadata", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as e:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .bench import DecodeConfig, decode_corpus
 from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
-from .decode import encode_sources, translate_records
+from .decode import removal_translator, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_pp
 from .model import (DECODER, ENCODER, TranslationModel, check_counts, quantize_fp16,
@@ -143,14 +143,12 @@ def _layer_counts(model: TranslationModel) -> dict[str, int]:
 
 
 def mean_dev_chrf(model: TranslationModel, dev_sets: dict, beam_size: int = 1,
-                  max_len: int = 64, encoded: dict | None = None) -> float:
-    """Unweighted mean corpus chrF++ across directions. encoded maps a
-    direction to encode_sources of its records (see translate_batch)."""
+                  max_len: int = 64) -> float:
+    """Unweighted mean corpus chrF++ across directions."""
     scores = []
     for direction in sorted(dev_sets):
         records = dev_sets[direction]
-        hyps = translate_records(model, records, beam_size=beam_size, max_len=max_len,
-                                 encoded=(encoded or {}).get(direction))
+        hyps = translate_records(model, records, beam_size=beam_size, max_len=max_len)
         scores.append(chrf_pp(hyps, [r.tgt for r in records]).value)
     return sum(scores) / len(scores)
 
@@ -159,27 +157,48 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
                           beam_size: int = 1, max_len: int = 64) -> dict:
     """chrF++ of the model with each candidate layer removed (no retraining).
     Keys are (side, current layer index). Removing a decoder layer leaves
-    the embedding and encoder bit-identical, so every decoder candidate
-    decodes against one encoding of each direction by this model; encoder
-    candidates encode for themselves. Candidates are scored in parallel by
-    map_ordered, each built inside the process that scores it."""
+    the embedding and encoder bit-identical, so each direction is encoded
+    once, here, and its decoder candidates are decoded together by
+    decode.removal_translator, one item of map_ordered per direction. With
+    fewer directions than CPUs, a direction's candidates are split into
+    that many contiguous blocks, one item each, so that every CPU has work.
+    An encoder candidate is one item: its model, built inside the process
+    that scores it, encodes for itself."""
     counts = _layer_counts(model)
     for side in sides:
         if counts[side] < 2:
             raise ValueError(f"{side} stack too small to evaluate removals")
-    encoded = None
+    directions = sorted(dev_sets)
+    items = []
     if DECODER in sides:
-        encoded = {d: encode_sources(model, [(r.src, r.src_lang, r.tgt_lang)
-                                             for r in records])
-                   for d, records in dev_sets.items()}
-    keys = [(side, idx) for side in sides for idx in range(counts[side])]
+        translators = {d: removal_translator(
+            model, [(r.src, r.src_lang, r.tgt_lang) for r in dev_sets[d]],
+            beam_size, max_len) for d in directions}
+        n = counts[DECODER]
+        per_direction = min(n, -(-len(os.sched_getaffinity(0)) // len(directions)))
+        items += [(DECODER, d, range(b * n // per_direction, (b + 1) * n // per_direction))
+                  for d in directions for b in range(per_direction)]
+    if ENCODER in sides:
+        items += [(ENCODER, idx) for idx in range(counts[ENCODER])]
 
-    def score(key) -> float:
-        side, idx = key
-        return mean_dev_chrf(remove_layers(model, side, {idx}), dev_sets, beam_size,
-                             max_len, encoded if side == DECODER else None)
+    def score(item):
+        if item[0] == ENCODER:
+            return mean_dev_chrf(remove_layers(model, ENCODER, {item[1]}), dev_sets,
+                                 beam_size, max_len)
+        _, d, layers = item
+        refs = [r.tgt for r in dev_sets[d]]
+        return [chrf_pp(hyps, refs).value for hyps in translators[d](layers)]
 
-    return dict(zip(keys, map_ordered(score, keys)))
+    scores, decoder_chrfs = {}, {}
+    for item, value in zip(items, map_ordered(score, items)):
+        if item[0] == ENCODER:
+            scores[item] = value
+        else:
+            for idx, chrf in zip(item[2], value):
+                decoder_chrfs.setdefault((DECODER, idx), []).append(chrf)
+    # the mean over the directions in order, as mean_dev_chrf takes it
+    scores.update({key: sum(v) / len(v) for key, v in decoder_chrfs.items()})
+    return {(side, idx): scores[side, idx] for side in sides for idx in range(counts[side])}
 
 
 def iterative_prune(model: TranslationModel, cfg: PruneConfig, dev_records,

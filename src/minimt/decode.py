@@ -1,7 +1,8 @@
 """Inference: teacher-forced scoring and an incremental decoder with a
 per-layer KV cache, both running model.py's layer functions on float32
 arrays, plus batched greedy/beam decoding with fully deterministic
-tie-breaks.
+tie-breaks. The incremental decoder also runs layer plans: one batch that
+decodes every removal of one decoder layer (prune's importance pass).
 
 Scoring: a hypothesis is ranked by cumulative log-probability during search
 and by length-normalized score (logprob / length) at the end, where length
@@ -11,7 +12,6 @@ token index, then shorter hypothesis.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -22,7 +22,8 @@ from .model import (
     build_batch,
     compute_params,
     decode_batch,
-    decoder_states,
+    decoder_layer,
+    embed,
     encode_batch,
     key_values,
     output_logits,
@@ -30,7 +31,7 @@ from .model import (
     source_batch,
 )
 from .parallel import map_ordered
-from .tensor import fast_max
+from .tensor import fast_max, layer_norm
 from .vocab import detokenize
 
 # Teacher-forced passes run the model on this many rows at a time, keeping
@@ -129,71 +130,72 @@ def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EncodedSources:
-    """Encoder output for a batch of (src_text, src_lang, tgt_lang) sources.
-    translate_batch reuses it for any model whose embedding and encoder
-    weights are bit-equal to the encoding model's (encoder_key), e.g. every
-    model remove_layers derives from it on the decoder side."""
-
-    sources: tuple
-    enc: np.ndarray                        # (N, Ts, d)
-    bias: np.ndarray                       # (N, 1, 1, Ts) source pad bias
-    encoder_key: str
-
-
-def _encoder_key(model: TranslationModel) -> str:
-    """Digest of everything the encoder output depends on: the head count
-    and the embedding and enc.* arrays (names, dtypes and bytes)."""
-    h = hashlib.blake2b(repr(model.config.n_heads).encode(), digest_size=16)
-    for name, a in model.params.items():
-        if name == "embedding" or name.startswith("enc."):
-            h.update(f"{name}:{a.dtype.str}{a.shape}".encode())
-            h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
-
-
-def encode_sources(model: TranslationModel,
-                   sources: list[tuple[str, str, str]]) -> EncodedSources:
-    """Encode a nonempty batch of (src_text, src_lang, tgt_lang) triples."""
-    if not sources:
-        raise ValueError("no sources to encode")
+def _encode(model: TranslationModel, sources) -> tuple[np.ndarray, np.ndarray]:
+    """encode_np of a nonempty batch of (src_text, src_lang, tgt_lang)
+    triples."""
     src_ids, src_len = source_batch(
         model.vocab, [(text, sl) for text, sl, _ in sources], model.config.max_positions)
-    enc, bias = encode_np(compute_params(model), model.config, src_ids, src_len)
-    return EncodedSources(tuple(sources), enc, bias, _encoder_key(model))
+    return encode_np(compute_params(model), model.config, src_ids, src_len)
 
 
 class _ModelStepper:
-    """Row-parallel incremental decoder over an encoded batch, starting with
-    R = n_samples * beam_size rows; reorder may drop rows. Holds per-layer
-    self-attention caches and precomputed cross K/V per row."""
+    """Row-parallel incremental decoder over n sources, given their
+    encoding (encode_np's enc and bias), under a layer plan: an int array
+    with one row per group and one column per decoder depth. The rows are
+    group-major, R = groups * n * beam_size of them at the start: row
+    (g * n + s) * beam_size + b is beam slot b of group g's copy of source
+    s, and at depth l it runs the model's decoder layer plan[g, l]. The
+    default plan, one group running layer l at depth l, is the model as it
+    is; a group planned [0, .., j - 1, j + 1, ..] decodes like the model
+    without decoder layer j. At each depth, neighbouring groups that run
+    one layer form a run: one decoder_layer call over its rows, with a
+    self-attention cache of its own. reorder may drop rows; every new row
+    continues a row of its own sample, in sample order. Holds precomputed
+    cross K/V per row of every layer the plan runs."""
 
-    def __init__(self, model: TranslationModel, encoded: EncodedSources,
-                 beam_size: int):
+    def __init__(self, model: TranslationModel, tgt_langs, encoding,
+                 beam_size: int, plan: np.ndarray | None = None):
         self.w = compute_params(model)
         self.config = model.config
-        self.vocab = model.vocab
-        n = len(encoded.sources)
+        if plan is None:
+            plan = np.arange(self.config.n_decoder_layers)[None]
+        enc, bias = encoding
+        self.n_sources, groups = len(enc), len(plan)
 
         h = self.config.n_heads
-        layers = range(self.config.n_decoder_layers)
-        self.cross_kvs = [
-            [np.repeat(a, beam_size, axis=0)
-             for a in key_values(self.w, f"dec.{i}.cross", encoded.enc, h)]
-            for i in layers]
-        self.cross_bias = np.repeat(encoded.bias, beam_size, axis=0)
-        self.sample_of_row = np.repeat(np.arange(n), beam_size)
+        src_of_row = np.tile(np.repeat(np.arange(self.n_sources), beam_size), groups)
+        # gathered from C-order copies, as np.repeat would give them: a
+        # gather keeps split_heads' transposed order, which rounds the
+        # attention differently
+        self.cross_kvs = {
+            i: [np.ascontiguousarray(a)[src_of_row]
+                for a in key_values(self.w, f"dec.{i}.cross", enc, h)]
+            for i in set(plan.ravel().tolist())}
+        self.cross_bias = bias[src_of_row]
+        self.sample_of_row = np.repeat(np.arange(groups * self.n_sources), beam_size)
+        self.bounds = self._group_bounds(self.sample_of_row, groups)
 
-        r = n * beam_size
-        empty = np.zeros((r, h, 0, self.config.d_model // h), dtype=np.float32)
-        self.caches = [[empty, empty] for _ in layers]
+        # each depth's runs, as (first group, end group, layer)
+        self.runs = []
+        for layers in plan.T.tolist():
+            starts = [g for g in range(groups) if g == 0 or layers[g] != layers[g - 1]]
+            self.runs.append([(g0, g1, layers[g0])
+                              for g0, g1 in zip(starts, starts[1:] + [groups])])
+        empty = np.zeros((len(src_of_row), h, 0, self.config.d_model // h),
+                         dtype=np.float32)
+        self.caches = [[[empty[self.bounds[g0]: self.bounds[g1]]] * 2
+                        for g0, g1, _ in runs] for runs in self.runs]
 
         # prime with the forced [tgt tag, bos] prefix (positions 0 and 1)
-        tags = np.repeat([self.vocab.lang_tag(t) for _, _, t in encoded.sources],
-                         beam_size)
+        tags = np.tile(np.repeat([model.vocab.lang_tag(t) for t in tgt_langs],
+                                 beam_size), groups)
         self._states(tags, 0)
-        self._logits = self._step(np.full(r, self.vocab.bos, dtype=np.int64), 1)
+        self._logits = self._step(np.full(len(tags), model.vocab.bos, dtype=np.int64), 1)
+
+    def _group_bounds(self, sample_of_row: np.ndarray, groups: int) -> list[int]:
+        """First row of each group, then the row count."""
+        return np.searchsorted(sample_of_row,
+                               np.arange(groups + 1) * self.n_sources).tolist()
 
     def prime_logits(self) -> np.ndarray:
         return self._logits
@@ -203,14 +205,18 @@ class _ModelStepper:
         dropped."""
         if np.array_equal(parent_rows, np.arange(len(self.sample_of_row))):
             return
-        for cache in self.caches:
-            cache[:] = [a[parent_rows] for a in cache]
         sample_of_row = self.sample_of_row[parent_rows]
+        bounds = self._group_bounds(sample_of_row, len(self.bounds) - 1)
+        for runs, caches in zip(self.runs, self.caches):
+            for (g0, g1, _), cache in zip(runs, caches):
+                rows = parent_rows[bounds[g0]: bounds[g1]] - self.bounds[g0]
+                cache[:] = [a[rows] for a in cache]
         if not np.array_equal(sample_of_row, self.sample_of_row):
-            for kv in self.cross_kvs:
+            for kv in self.cross_kvs.values():
                 kv[:] = [a[parent_rows] for a in kv]
             self.cross_bias = self.cross_bias[parent_rows]
             self.sample_of_row = sample_of_row
+            self.bounds = bounds
 
     def advance(self, token_ids: np.ndarray, gen_index: int) -> np.ndarray:
         """Feed the tokens generated at step gen_index (decoder position
@@ -218,8 +224,19 @@ class _ModelStepper:
         return self._step(token_ids, 2 + gen_index)
 
     def _states(self, ids: np.ndarray, position: int) -> np.ndarray:
-        return decoder_states(self.w, self.config, ids[:, None], None, self.cross_kvs,
-                              self.cross_bias, start=position, caches=self.caches)
+        w, h = self.w, self.config.n_heads
+        x = embed(w, self.config, ids[:, None], position)
+        for runs, caches in zip(self.runs, self.caches):
+            parts = []
+            for (g0, g1, layer), cache in zip(runs, caches):
+                # a run whose rows have all left still runs, on zero rows,
+                # so that every cache advances a step
+                rows = slice(self.bounds[g0], self.bounds[g1])
+                parts.append(decoder_layer(
+                    w, layer, x[rows], None, [a[rows] for a in self.cross_kvs[layer]],
+                    self.cross_bias[rows], h, cache))
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return layer_norm(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
 
     def _step(self, ids: np.ndarray, position: int) -> np.ndarray:
         # (R, 1, d) @ (d, vocab) runs one gemm per row; a 2-D (R, d) gemm would
@@ -253,6 +270,61 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    if beam_size == 1:
+        return _greedy_search(stepper, n_samples, eos_id, max_len)
+    return _beam_loop(stepper, n_samples, vocab_size, eos_id, beam_size, max_len)
+
+
+def _greedy_search(stepper, n_samples: int, eos_id: int,
+                   max_len: int) -> list[BeamResult]:
+    """Beam 1 as array ops: each live row takes the first maximum of its
+    cumulative log-probabilities, which is the lowest token id among equal
+    scores, as _beam_loop's tie-break picks it. A row without a finite
+    score leaves the batch unfinished."""
+    tokens = np.zeros((n_samples, max_len), dtype=np.int64)
+    length = np.zeros(n_samples, dtype=np.int64)
+    cum = np.zeros(n_samples, dtype=np.float64)
+    finished = np.zeros(n_samples, dtype=bool)
+
+    # row i of the stepper is sample live[i]
+    live = np.arange(n_samples)
+    logits = stepper.prime_logits()
+    for g in range(max_len):
+        cand = cum[live, None] + _log_softmax(logits.astype(np.float64))
+        tok = cand.argmax(axis=1)
+        best = cand[np.arange(len(live)), tok]
+        tokens[live, g] = tok
+        cum[live] = best
+        length[live] = g + 1
+        scored = np.isfinite(best)
+        done = scored & (tok == eos_id)
+        finished[live[done]] = True
+        keep = scored & ~done
+        live = live[keep]
+        if g == max_len - 1 or not len(live):
+            break
+        stepper.reorder(np.flatnonzero(keep))
+        logits = stepper.advance(tok[keep], g)
+
+    alive = np.zeros(n_samples, dtype=bool)
+    alive[live] = True
+    results = []
+    for s in range(n_samples):
+        n, lp = int(length[s]), float(cum[s])
+        if finished[s]:
+            results.append(BeamResult(tuple(tokens[s, :n - 1].tolist()), lp,
+                                      _normalized(lp, n), True))
+        elif alive[s]:
+            results.append(BeamResult(tuple(tokens[s, :n].tolist()), lp,
+                                      _normalized(lp, n), False))
+        else:
+            results.append(BeamResult((), -math.inf, -math.inf, False))
+    return results
+
+
+def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
+               beam_size: int, max_len: int) -> list[BeamResult]:
+    """beam_search_over_stepper, for any beam size, one sample at a time."""
     k = beam_size
     r = n_samples * k
 
@@ -338,37 +410,58 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
     return results
 
 
+def _search(model: TranslationModel, stepper: _ModelStepper, n_samples: int,
+            beam_size: int, max_len: int) -> list[BeamResult]:
+    """beam_search_over_stepper over a model's stepper; max_len is cut to
+    the positions left after the [tgt tag, bos] prefix."""
+    return beam_search_over_stepper(
+        stepper, n_samples, len(model.vocab), model.vocab.eos, beam_size,
+        min(max_len, model.config.max_positions - 2))
+
+
 def translate_batch(model: TranslationModel, sources: list[tuple[str, str, str]],
-                    beam_size: int = 3, max_len: int = 64, *,
-                    encoded: EncodedSources | None = None) -> list[BeamResult]:
-    """Decode a batch of (src_text, src_lang, tgt_lang) triples. encoded,
-    from encode_sources, skips the encoder; it must come from these sources
-    and from a model with this model's embedding and encoder weights."""
+                    beam_size: int = 3, max_len: int = 64) -> list[BeamResult]:
+    """Decode a batch of (src_text, src_lang, tgt_lang) triples."""
     if not sources:
         return []
-    if 2 + max_len > model.config.max_positions:
-        max_len = model.config.max_positions - 2
-    if encoded is None:
-        encoded = encode_sources(model, sources)
-    elif encoded.sources != tuple(sources):
-        raise ValueError("encoded was built from other sources")
-    elif encoded.encoder_key != _encoder_key(model):
-        raise ValueError("encoded was built by a model with other encoder weights")
-    stepper = _ModelStepper(model, encoded, beam_size)
-    # the stepper keeps only cross K/V, so an encoding made here need not be
-    # held through the search (2.3 MB for filter's 600-row semantic batch)
-    del encoded
-    return beam_search_over_stepper(
-        stepper, len(sources), len(model.vocab), model.vocab.eos,
-        beam_size, max_len)
+    # the stepper keeps only cross K/V, so the encoding is not held through
+    # the search (2.3 MB for filter's 600-row semantic batch)
+    stepper = _ModelStepper(model, [t for _, _, t in sources],
+                            _encode(model, sources), beam_size)
+    return _search(model, stepper, len(sources), beam_size, max_len)
+
+
+def _hypotheses(results: list[BeamResult], vocab) -> list[str]:
+    return [detokenize(r.tokens, vocab) for r in results]
 
 
 def translate_records(model: TranslationModel, records, beam_size: int = 3,
-                      max_len: int = 64, *,
-                      encoded: EncodedSources | None = None) -> list[str]:
-    """Hypothesis strings for a list of parallel records (source side only);
-    encoded is passed on to translate_batch."""
-    results = translate_batch(
+                      max_len: int = 64) -> list[str]:
+    """Hypothesis strings for a list of parallel records (source side only)."""
+    return _hypotheses(translate_batch(
         model, [(r.src, r.src_lang, r.tgt_lang) for r in records],
-        beam_size, max_len, encoded=encoded)
-    return [detokenize(r.tokens, model.vocab) for r in results]
+        beam_size, max_len), model.vocab)
+
+
+def removal_translator(model: TranslationModel, sources: list[tuple[str, str, str]],
+                       beam_size: int, max_len: int):
+    """Encode a nonempty batch of (src_text, src_lang, tgt_lang) triples
+    once, here, and return translate(layers): for each decoder layer j of
+    layers (a range), the hypotheses of remove_layers(model, DECODER, {j})
+    on the sources, as translate_records gives them. Removing a decoder
+    layer leaves the encoder as it was, so every candidate decodes against
+    this one encoding, and all of them in one stepper: at depth l the
+    candidates j <= l run layer l + 1 and the others layer l, two runs of
+    rows. translate may run in a forked worker."""
+    encoding = _encode(model, sources)
+    tgt_langs = [t for _, _, t in sources]
+    depths = np.arange(model.config.n_decoder_layers - 1)
+
+    def translate(layers) -> list[list[str]]:
+        plan = depths + (depths >= np.asarray(layers)[:, None])
+        stepper = _ModelStepper(model, tgt_langs, encoding, beam_size, plan)
+        hyps = _hypotheses(_search(model, stepper, len(plan) * len(sources),
+                                   beam_size, max_len), model.vocab)
+        return [hyps[i: i + len(sources)] for i in range(0, len(hyps), len(sources))]
+
+    return translate

@@ -328,30 +328,17 @@ def encode_batch(w: dict, config: ModelConfig, src_ids: np.ndarray,
     return layer_norm(x, w["enc.final_ln.g"], w["enc.final_ln.b"])
 
 
-def decoder_states(w: dict, config: ModelConfig, ids: np.ndarray, self_bias,
-                   cross_kvs, cross_bias, *, start: int = 0, caches=None,
-                   drop_rng=None):
-    """Final-norm decoder states (B, T, d) for input ids at positions
-    start .. start + T - 1. cross_kvs yields each layer's encoder keys and
-    values; caches, when given, holds each layer's [K, V] self-attention
-    cache (see decoder_layer)."""
-    x = embed(w, config, ids, start)
-    rate = config.dropout_rate if drop_rng is not None else 0.0
-    caches = caches or [None] * config.n_decoder_layers
-    for i, cross_kv, cache in zip(range(config.n_decoder_layers), cross_kvs, caches):
-        x = decoder_layer(w, i, x, self_bias, cross_kv, cross_bias, config.n_heads,
-                          cache, rate, drop_rng)
-    return layer_norm(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
-
-
 def decode_batch(w: dict, config: ModelConfig, enc, dec_in: np.ndarray,
                  src_bias: np.ndarray, drop_rng=None):
     """Teacher-forced decoder logits (B, Tt, vocab)."""
-    cross_kvs = (key_values(w, f"dec.{i}.cross", enc, config.n_heads)
-                 for i in range(config.n_decoder_layers))
-    x = decoder_states(w, config, dec_in, causal_bias(dec_in.shape[1]),
-                       cross_kvs, src_bias, drop_rng=drop_rng)
-    return output_logits(w, x)
+    x = embed(w, config, dec_in)
+    rate = config.dropout_rate if drop_rng is not None else 0.0
+    self_bias = causal_bias(dec_in.shape[1])
+    for i in range(config.n_decoder_layers):
+        cross_kv = key_values(w, f"dec.{i}.cross", enc, config.n_heads)
+        x = decoder_layer(w, i, x, self_bias, cross_kv, src_bias, config.n_heads,
+                          rate=rate, drop_rng=drop_rng)
+    return output_logits(w, layer_norm(x, w["dec.final_ln.g"], w["dec.final_ln.b"]))
 
 
 def encoder_input_ids(vocab: Vocab, text: str, src_lang: str) -> list[int]:

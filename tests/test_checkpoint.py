@@ -151,6 +151,27 @@ def test_every_truncation_is_a_checkpoint_error(model):
             model_from_bytes(blob[:cut])
 
 
+@pytest.mark.parametrize("precision", ["fp32", "fp16"])
+def test_non_finite_weights_are_a_checkpoint_error(model, precision):
+    """A NaN or an infinity in any tensor fails the load, naming every such
+    tensor and pointing at the first one's payload."""
+    bad = (model if precision == "fp32" else quantize_fp16(model)).clone()
+    bad.params["embedding"][2, 0] = -np.inf
+    bad.params["enc.0.attn.wq"][0, 1] = np.nan
+    bad.params["dec.1.ffn.b2"][3] = np.inf
+    blob = checkpoint_bytes(bad)
+    names = "'embedding', 'enc.0.attn.wq', 'dec.1.ffn.b2'"
+    with pytest.raises(CheckpointError, match=f"non-finite weights in tensors: \\[{names}\\]") as e:
+        model_from_bytes(blob)
+    payload = sum(a.nbytes for a in bad.params.values())
+    assert e.value.byte_offset == len(blob) - payload
+    for name in ("enc.0.attn.wq", "dec.1.ffn.b2"):
+        one = (model if precision == "fp32" else quantize_fp16(model)).clone()
+        one.params[name].flat[0] = np.nan
+        with pytest.raises(CheckpointError, match=f"tensors: \\['{name}'\\]"):
+            model_from_bytes(checkpoint_bytes(one))
+
+
 def test_fingerprint_ignores_metadata(model):
     other = model.clone()
     other.metadata["extra"] = "note"

@@ -21,6 +21,7 @@ from minimt.compress import (
 )
 from minimt.corpus import ParallelRecord, SplitSpec
 from minimt.decode import translate_records
+from minimt.metrics import chrf_pp
 from minimt.model import ModelConfig, init_model, remove_layers
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
@@ -163,26 +164,29 @@ class TestLayerImportance:
         hyps = []
         use_cpus(1)     # a worker's recorded calls stay in it
 
-        def recording_translate(*args, **kwargs):
-            hyps.append(translate_records(*args, **kwargs))
-            return hyps[-1]
+        def recording_chrf(hypotheses, references):
+            hyps.append(hypotheses)
+            return chrf_pp(hypotheses, references)
 
-        monkeypatch.setattr(compress_mod, "translate_records", recording_translate)
+        monkeypatch.setattr(compress_mod, "chrf_pp", recording_chrf)
         scores = layer_importance_eval(model, ["encoder", "decoder"], dev_sets,
                                        beam_size=1, max_len=40)
         monkeypatch.undo()
         assert len(scores) == 2 + 4
         # the untrained model's scores are near 0, so compare the
-        # hypotheses too (one call per candidate and direction, in order)
+        # hypotheses too: one chrF++ call per candidate and direction, the
+        # decoder's direction by direction, then each encoder candidate's
         assert any(h for hs in hyps for h in hs)
-        oracle_hyps = []
+        oracle_hyps = {}
         for (side, idx), score in scores.items():
             candidate = remove_layers(model, side, {idx})
             assert score == mean_dev_chrf(candidate, dev_sets, beam_size=1,
                                           max_len=40), (side, idx)
-            oracle_hyps += [translate_records(candidate, dev_sets[d], 1, 40)
-                            for d in sorted(dev_sets)]
-        assert hyps == oracle_hyps
+            oracle_hyps[side, idx] = [translate_records(candidate, dev_sets[d], 1, 40)
+                                      for d in sorted(dev_sets)]
+        assert hyps == ([oracle_hyps["decoder", idx][i] for i in range(len(dev_sets))
+                         for idx in range(4)]
+                        + [h for idx in range(2) for h in oracle_hyps["encoder", idx]])
 
     @pytest.mark.parametrize("sides, encodes_per_direction", [
         (["decoder"], 1), (["encoder", "decoder"], 2 + 1)])
@@ -216,6 +220,32 @@ class TestLayerImportance:
             scores.append(layer_importance_eval(model, ["encoder", "decoder"],
                                                 dev_sets, beam_size=1, max_len=40))
         assert list(scores[0].items()) == list(scores[1].items())
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_one_direction_splits_into_a_block_per_cpu(self, setup, monkeypatch,
+                                                       use_cpus, cpus):
+        """With fewer directions than CPUs a direction's decoder candidates
+        go out in contiguous blocks, one per CPU, and score as they do in
+        one block."""
+        from minimt.compress import _dev_sets
+
+        model, corpus = setup
+        dev_sets = _dev_sets(cfg(importance_directions=DIRS[:1]), corpus.dev)
+        use_cpus(1)
+        want = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
+        use_cpus(cpus)
+        items = []
+        map_ordered = compress_mod.map_ordered
+
+        def recording_map(fn, mapped):
+            items.extend(mapped)
+            return map_ordered(fn, mapped)
+
+        monkeypatch.setattr(compress_mod, "map_ordered", recording_map)
+        got = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
+        assert [list(layers) for *_, layers in items] == {
+            1: [[0, 1, 2, 3]], 2: [[0, 1], [2, 3]], 3: [[0], [1], [2, 3]]}[cpus]
+        assert list(got.items()) == list(want.items())
 
     def test_single_layer_side_rejected(self, setup):
         from minimt.compress import _dev_sets

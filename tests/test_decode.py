@@ -9,13 +9,16 @@ from minimt.decode import (
     FORCED_BLOCK,
     ROW_CHUNK,
     NonFiniteLogitsError,
+    _beam_loop,
+    _encode,
     _ModelStepper,
     beam_search_over_stepper,
     encode_np,
-    encode_sources,
     forced_token_logprobs,
     full_decoder_logits_np,
+    removal_translator,
     translate_batch,
+    translate_records,
 )
 from minimt.model import (
     DECODER,
@@ -163,6 +166,61 @@ class TestBeamCore:
             for g in range(max(lengths))]
 
 
+class TestGreedyTies:
+    """Beam 1 picks each live row's token with one row-wise argmax over its
+    scores; among equal top scores the lowest token id wins, as in the
+    per-sample beam loop."""
+
+    # vocab 4, eos 2; every step's top score is shared by two or three tokens
+    TABLES = [
+        {(): [1.0, 1.0, 1.0, 0.0],            # 0 over 1 and eos
+         (0,): [0.0, 3.0, 3.0, 3.0],          # 1 over eos and 3
+         (0, 1): [-9.0, -9.0, 5.0, -9.0]},
+        {(): [0.0, 0.0, 2.0, 2.0]},           # eos over 3: ends at once
+        {(): [0.0, 2.0, 0.0, 2.0],            # 1 over 3
+         (1,): [2.0, 0.0, 2.0, 0.0],          # 0 over eos
+         (1, 0): [3.0, 3.0, -9.0, -9.0],      # 0 over 1
+         (1, 0, 0): [-9.0, -9.0, 5.0, -9.0]},
+        {(): [0.0, 4.0, 0.0, 4.0],            # 1 over 3
+         (1,): [0.0, 0.0, 4.0, 4.0]},         # eos over 3
+    ]
+
+    def test_lowest_token_wins_and_samples_leave_when_they_end(self):
+        stepper = TableStepper(self.TABLES, 4, n_samples=4)
+        got = beam_search_over_stepper(stepper, 4, 4, EOS, 1, max_len=6)
+        assert [r.tokens for r in got] == [(0, 1), (), (1, 0, 0), (1,)]
+        assert all(r.finished for r in got)
+        assert stepper.advanced == [[0, 2, 3], [0, 2], [2]]
+        assert got == beam_search_oracle(self.TABLES, 4, 4, max_len=6)
+
+    def test_equals_the_beam_loop_on_tied_tables(self):
+        """Random tables of small integer logits, so that most steps tie,
+        with a default that keeps some samples going until max_len."""
+        n_samples, vocab_size, max_len = 5, 4, 5
+        default = [1.0, 1.0, 0.0, 0.0]
+        prefixes = [p for n in range(4) for p in itertools.product(range(4), repeat=n)]
+        finished = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            tables = [{p: rng.integers(0, 3, vocab_size).astype(float).tolist()
+                       for p in prefixes if rng.random() < 0.7}
+                      for _ in range(n_samples)]
+            stepper = TableStepper(tables, vocab_size, n_samples=n_samples,
+                                   default=default)
+            got = beam_search_over_stepper(stepper, n_samples, vocab_size, EOS, 1,
+                                           max_len)
+            assert got == beam_search_oracle(tables, n_samples, vocab_size, max_len,
+                                             default), seed
+            finished |= {r.finished for r in got}
+        assert finished == {True, False}
+
+
+def beam_search_oracle(tables, n_samples, vocab_size, max_len, default=None):
+    """The per-sample beam loop at beam 1."""
+    stepper = TableStepper(tables, vocab_size, n_samples=n_samples, default=default)
+    return _beam_loop(stepper, n_samples, vocab_size, EOS, 1, max_len)
+
+
 class TestModelDecode:
     def test_beam1_equals_greedy_chain_from_teacher_forcing(self, model):
         v = model.vocab
@@ -211,40 +269,6 @@ class TestModelDecode:
                 scores.append(res.score)
             assert scores[0] <= scores[1] + 1e-12
             assert scores[1] <= scores[2] + 1e-12
-
-    @pytest.mark.parametrize("beam_size", [1, 3])
-    def test_given_encoding_decodes_like_a_fresh_one(self, model, beam_size):
-        items = [("abc", "anu_Latn", "bnu_Latn"),
-                 ("fedcba fed", "bnu_Latn", "anu_Latn")]
-        fresh = translate_batch(model, items, beam_size=beam_size, max_len=10)
-        given = translate_batch(model, items, beam_size=beam_size, max_len=10,
-                                encoded=encode_sources(model, items))
-        assert given == fresh
-        # a decoder layer's removal leaves the encoder as it was
-        pruned = remove_layers(model, DECODER, {1})
-        assert (translate_batch(pruned, items, beam_size=beam_size, max_len=10,
-                                encoded=encode_sources(model, items))
-                == translate_batch(pruned, items, beam_size=beam_size, max_len=10))
-
-    def test_encoding_of_other_sources_is_rejected(self, model):
-        items = [("abc", "anu_Latn", "bnu_Latn"), ("fed", "bnu_Latn", "anu_Latn")]
-        encoded = encode_sources(model, items)
-        for other in (items[:1], items[::-1],
-                      [("abc", "anu_Latn", "bnu_Latn"), ("fed", "bnu_Latn", "bnu_Latn")]):
-            with pytest.raises(ValueError, match="other sources"):
-                translate_batch(model, other, beam_size=1, max_len=8, encoded=encoded)
-
-    def test_encoding_by_other_encoder_weights_is_rejected(self, model):
-        items = [("abc", "anu_Latn", "bnu_Latn")]
-        encoded = encode_sources(model, items)
-        nudged = model.clone()
-        nudged.params["enc.1.ffn.b2"][0] += np.float32(1e-6)
-        flipped = model.clone()
-        flipped.params["embedding"][0, 0] = -flipped.params["embedding"][0, 0]
-        for other in (nudged, flipped, remove_layers(model, ENCODER, {0}),
-                      quantize_fp16(model)):
-            with pytest.raises(ValueError, match="other encoder weights"):
-                translate_batch(other, items, beam_size=1, max_len=8, encoded=encoded)
 
     def test_empty_batch(self, model):
         assert translate_batch(model, []) == []
@@ -297,7 +321,8 @@ def _stepper_logits(model, records, beam_size, rng, samples=None, drop=0.0):
     _, _, dec_in, _ = build_batch(model.vocab, records, model.config.max_positions)
     live = list(range(len(records))) if samples is None else list(samples)
     sources = [(records[i].src, records[i].src_lang, records[i].tgt_lang) for i in live]
-    stepper = _ModelStepper(model, encode_sources(model, sources), beam_size)
+    stepper = _ModelStepper(model, [t for _, _, t in sources], _encode(model, sources),
+                            beam_size)
     logits = stepper.prime_logits()
     out = {}
     for position in range(1, dec_in.shape[1]):
@@ -365,6 +390,86 @@ def test_stepper_rows_do_not_depend_on_the_batch(n_enc, n_dec, n_heads, beam_siz
                                drop=0.3)
         for key in part.keys() & whole.keys():
             assert np.array_equal(part[key], whole[key]), key
+
+
+@pytest.mark.parametrize("beam_size, seed", [(1, 0), (2, 1), (3, 2)])
+def test_layer_plan_stepper_matches_a_stepper_per_removal(beam_size, seed):
+    """One stepper planned to decode every decoder-removal candidate of a
+    4-layer model gives each candidate's rows, at every step, the logits of
+    a _ModelStepper over remove_layers(model, DECODER, {j}), byte for byte.
+    Samples leave at random, across the boundary between a depth's two runs
+    of rows. Candidate 0 alone makes the first run at depth 0 and candidate
+    3 alone the second at depth 2; each leaves whole while its depth's
+    other run goes on."""
+    n_dec = 4
+    model = _tiny_models(2, n_dec, 2, 16, seed)[0]
+    records = _records([("abc fed", "fedcba ab", "anu_Latn"), ("a", "bcdef", "bnu_Latn"),
+                        ("fed cab ad", "ab e", "anu_Latn")])
+    sources = [(r.src, r.src_lang, r.tgt_lang) for r in records]
+    tgt_langs = [r.tgt_lang for r in records]
+    _, _, dec_in, _ = build_batch(model.vocab, records, model.config.max_positions)
+    depths = np.arange(n_dec - 1)
+    plan = depths + (depths >= np.arange(n_dec)[:, None])
+    grouped = _ModelStepper(model, tgt_langs, _encode(model, sources), beam_size, plan)
+    single = [_ModelStepper(remove_layers(model, DECODER, {j}), tgt_langs,
+                            _encode(model, sources), beam_size)
+              for j in range(n_dec)]
+    # the grouped stepper's samples as (candidate, source), and each single
+    # stepper's as sources
+    live = [(j, s) for j in range(n_dec) for s in range(len(records))]
+    rng = np.random.default_rng(seed)
+    leaves_whole = {2: 0, 3: n_dec - 1}
+    got, want = grouped.prime_logits(), [st.prime_logits() for st in single]
+    for position in range(1, dec_in.shape[1]):
+        if position > 1:
+            stay = ((rng.random(len(live)) >= 0.2)
+                    & np.array([j != leaves_whole.get(position) for j, _ in live]))
+            if not stay.any():
+                break
+            slots = rng.integers(0, beam_size, (len(live), beam_size))
+            grouped.reorder(np.concatenate([i * beam_size + slots[i]
+                                            for i in np.flatnonzero(stay)]))
+            for j, st in enumerate(single):
+                mine = [i for i, (c, _) in enumerate(live) if c == j]
+                kept = [(rank, i) for rank, i in enumerate(mine) if stay[i]]
+                if kept:
+                    st.reorder(np.concatenate([rank * beam_size + slots[i]
+                                               for rank, i in kept]))
+                    want[j] = st.advance(np.repeat([dec_in[live[i][1], position]
+                                                    for _, i in kept], beam_size),
+                                         position - 2)
+            live = [sample for sample, keep in zip(live, stay) if keep]
+            got = grouped.advance(np.repeat([dec_in[s, position] for _, s in live],
+                                            beam_size), position - 2)
+            if position in leaves_whole:
+                # the candidate's run is empty, the other is not
+                j = leaves_whole[position]
+                assert grouped.bounds[j] == grouped.bounds[j + 1] and live
+        for i, (j, s) in enumerate(live):
+            rank = [x for c, x in live if c == j].index(s)
+            assert np.array_equal(got[i * beam_size: (i + 1) * beam_size],
+                                  want[j][rank * beam_size: (rank + 1) * beam_size]), \
+                (position, j, s)
+
+
+@pytest.mark.parametrize("beam_size", [1, 3])
+def test_removal_translator_decodes_like_each_pruned_model(model, beam_size):
+    """Every candidate of removal_translator, whole or in a block, gives the
+    hypotheses translate_records gives for the model without that layer."""
+    model = model.clone()
+    # larger residual branches, so that the hypotheses differ in length
+    for name, a in model.params.items():
+        if name.endswith((".wo", ".w2")):
+            a *= 8
+    records = _records([("abc fed", "", "anu_Latn"), ("fedcba", "", "bnu_Latn"),
+                        ("a", "", "anu_Latn"), ("cab dab", "", "bnu_Latn")])
+    translate = removal_translator(
+        model, [(r.src, r.src_lang, r.tgt_lang) for r in records], beam_size, 12)
+    want = [translate_records(remove_layers(model, DECODER, {j}), records, beam_size, 12)
+            for j in range(model.config.n_decoder_layers)]
+    assert any(h for hyps in want for h in hyps)
+    assert translate(range(3)) == want
+    assert translate(range(1, 3)) == want[1:]
 
 
 def _unchunked_pass(model, records):
