@@ -58,6 +58,11 @@ RUNS = [
     ["prune", "--ckpt", "base.ckpt", "--dev", "data/dev.jsonl",
      "--out", "pruned.ckpt", "--strategy", "iterative", "--n", "1",
      "--set", "prune.max_len=24"],
+    # one layer off each side, so that an importance pass scores encoder
+    # candidates too
+    ["prune", "--ckpt", "base.ckpt", "--dev", "data/dev.jsonl",
+     "--out", "pruned-both.ckpt", "--strategy", "iterative", "--n", "1",
+     "--side", "encoder+decoder", "--set", "prune.max_len=24"],
     ["quantize", "--ckpt", "pruned.ckpt", "--out", "pruned-fp16.ckpt"],
     ["evaluate", "--ckpt", "pruned.ckpt", "--testset", "data/devtest.jsonl",
      "--out", "eval.json", "--csv", "eval.csv", *DECODE],

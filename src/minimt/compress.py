@@ -3,10 +3,12 @@ pruning with a middle-block baseline, sequence-level distillation, and the
 staged fine-tune / prune / fine-tune / quantize pipeline.
 
 Greedy pruning removes one layer per iteration: every remaining candidate
-layer is scored by the dev chrF++ of the model without it (no retraining
-inside the loop), and the argmax is removed. Ties break to the first
-candidate in canonical order (encoder before decoder, then lowest original
-index). With sides="encoder+decoder" the removal budget n applies per side.
+layer is scored by the dev chrF++ of the model without it, averaged over
+the importance directions (no retraining inside the loop), and the argmax
+is removed. decode.removal_translator decodes all of a side's candidates
+for one direction in one stepper. Ties break to the first candidate in
+canonical order (encoder before decoder, then lowest original index). With
+sides="encoder+decoder" the removal budget n applies per side.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class PruneConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if not self.importance_directions:
             raise ValueError("importance_directions must be nonempty")
+        directions = [tuple(d) for d in self.importance_directions]
+        repeated = sorted({d for d in directions if directions.count(d) > 1})
+        if repeated:
+            raise ValueError(f"importance_directions repeats {repeated}")
         check_counts(self, "importance_beam_size", "max_len")
         if self.importance_max_samples is not None:
             check_counts(self, "importance_max_samples")
@@ -124,17 +130,20 @@ class PruneReport:
 
 def _dev_sets(cfg: PruneConfig, dev_records) -> dict[tuple[str, str], list]:
     """Importance dev set per configured direction, optionally capped."""
-    wanted = {tuple(d) for d in cfg.importance_directions}
-    sets: dict[tuple[str, str], list] = {d: [] for d in wanted}
+    sets: dict[tuple[str, str], list] = {tuple(d): [] for d in cfg.importance_directions}
     for r in dev_records:
         key = (r.src_lang, r.tgt_lang)
-        if key in wanted:
+        if key in sets:
             if cfg.importance_max_samples is None or len(sets[key]) < cfg.importance_max_samples:
                 sets[key].append(r)
-    empty = [d for d, recs in sets.items() if not recs]
+    _check_records(sets)
+    return sets
+
+
+def _check_records(dev_sets: dict) -> None:
+    empty = [d for d, recs in dev_sets.items() if not recs]
     if empty:
         raise ValueError(f"no dev records for importance directions {empty}")
-    return sets
 
 
 def _layer_counts(model: TranslationModel) -> dict[str, int]:
@@ -156,49 +165,39 @@ def mean_dev_chrf(model: TranslationModel, dev_sets: dict, beam_size: int = 1,
 def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
                           beam_size: int = 1, max_len: int = 64) -> dict:
     """chrF++ of the model with each candidate layer removed (no retraining).
-    Keys are (side, current layer index). Removing a decoder layer leaves
-    the embedding and encoder bit-identical, so each direction is encoded
-    once, here, and its decoder candidates are decoded together by
-    decode.removal_translator, one item of map_ordered per direction. With
-    fewer directions than CPUs, a direction's candidates are split into
-    that many contiguous blocks, one item each, so that every CPU has work.
-    An encoder candidate is one item: its model, built inside the process
-    that scores it, encodes for itself."""
+    Keys are (side, current layer index). Every item of map_ordered is a
+    side, a direction and a block of that side's layers, which
+    decode.removal_translator decodes together: a direction's candidates
+    make one block, or, with fewer directions than CPUs, that many
+    contiguous blocks, so that every CPU has work."""
     counts = _layer_counts(model)
     for side in sides:
         if counts[side] < 2:
             raise ValueError(f"{side} stack too small to evaluate removals")
+    _check_records(dev_sets)
     directions = sorted(dev_sets)
-    items = []
-    if DECODER in sides:
-        translators = {d: removal_translator(
-            model, [(r.src, r.src_lang, r.tgt_lang) for r in dev_sets[d]],
-            beam_size, max_len) for d in directions}
-        n = counts[DECODER]
-        per_direction = min(n, -(-len(os.sched_getaffinity(0)) // len(directions)))
-        items += [(DECODER, d, range(b * n // per_direction, (b + 1) * n // per_direction))
-                  for d in directions for b in range(per_direction)]
-    if ENCODER in sides:
-        items += [(ENCODER, idx) for idx in range(counts[ENCODER])]
+    blocks = -(-len(os.sched_getaffinity(0)) // len(directions))
+    translators, items = {}, []
+    for side in sides:
+        n, per_direction = counts[side], min(counts[side], blocks)
+        for d in directions:
+            translators[side, d] = removal_translator(
+                model, side, [(r.src, r.src_lang, r.tgt_lang) for r in dev_sets[d]],
+                beam_size, max_len)
+            items += [(side, d, range(b * n // per_direction, (b + 1) * n // per_direction))
+                      for b in range(per_direction)]
 
     def score(item):
-        if item[0] == ENCODER:
-            return mean_dev_chrf(remove_layers(model, ENCODER, {item[1]}), dev_sets,
-                                 beam_size, max_len)
-        _, d, layers = item
+        side, d, layers = item
         refs = [r.tgt for r in dev_sets[d]]
-        return [chrf_pp(hyps, refs).value for hyps in translators[d](layers)]
+        return [chrf_pp(hyps, refs).value for hyps in translators[side, d](layers)]
 
-    scores, decoder_chrfs = {}, {}
-    for item, value in zip(items, map_ordered(score, items)):
-        if item[0] == ENCODER:
-            scores[item] = value
-        else:
-            for idx, chrf in zip(item[2], value):
-                decoder_chrfs.setdefault((DECODER, idx), []).append(chrf)
+    chrfs = {}
+    for (side, _, layers), values in zip(items, map_ordered(score, items)):
+        for idx, chrf in zip(layers, values):
+            chrfs.setdefault((side, idx), []).append(chrf)
     # the mean over the directions in order, as mean_dev_chrf takes it
-    scores.update({key: sum(v) / len(v) for key, v in decoder_chrfs.items()})
-    return {(side, idx): scores[side, idx] for side in sides for idx in range(counts[side])}
+    return {key: sum(v) / len(v) for key, v in chrfs.items()}
 
 
 def iterative_prune(model: TranslationModel, cfg: PruneConfig, dev_records,

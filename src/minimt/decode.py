@@ -1,8 +1,8 @@
 """Inference: teacher-forced scoring and an incremental decoder with a
 per-layer KV cache, both running model.py's layer functions on float32
 arrays, plus batched greedy/beam decoding with fully deterministic
-tie-breaks. The incremental decoder also runs layer plans: one batch that
-decodes every removal of one decoder layer (prune's importance pass).
+tie-breaks. The incremental decoder also decodes every removal of one
+layer in one batch (prune's importance pass).
 
 Scoring: a hypothesis is ranked by cumulative log-probability during search
 and by length-normalized score (logprob / length) at the end, where length
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    DECODER,
+    ENCODER,
     TranslationModel,
     build_batch,
     compute_params,
@@ -28,6 +30,7 @@ from .model import (
     key_values,
     output_logits,
     pad_bias,
+    remove_layers,
     source_batch,
 )
 from .parallel import map_ordered
@@ -443,24 +446,32 @@ def translate_records(model: TranslationModel, records, beam_size: int = 3,
         beam_size, max_len), model.vocab)
 
 
-def removal_translator(model: TranslationModel, sources: list[tuple[str, str, str]],
-                       beam_size: int, max_len: int):
-    """Encode a nonempty batch of (src_text, src_lang, tgt_lang) triples
-    once, here, and return translate(layers): for each decoder layer j of
-    layers (a range), the hypotheses of remove_layers(model, DECODER, {j})
-    on the sources, as translate_records gives them. Removing a decoder
-    layer leaves the encoder as it was, so every candidate decodes against
-    this one encoding, and all of them in one stepper: at depth l the
-    candidates j <= l run layer l + 1 and the others layer l, two runs of
-    rows. translate may run in a forked worker."""
-    encoding = _encode(model, sources)
+def removal_translator(model: TranslationModel, side: str,
+                       sources: list[tuple[str, str, str]], beam_size: int, max_len: int):
+    """Return translate(layers): for each layer j of side in layers (a
+    range), the hypotheses of remove_layers(model, side, {j}) on a nonempty
+    batch of (src_text, src_lang, tgt_lang) triples, as translate_records
+    gives them, all decoded in one stepper. The decoder side encodes the
+    sources once, here: at depth l the candidates j <= l run layer l + 1
+    and the others layer l, two runs of rows. The encoder side encodes them
+    once per candidate, in translate, for the model's own decoder.
+    translate may run in a forked worker."""
+    if side not in (ENCODER, DECODER):
+        raise ValueError(f"side must be '{ENCODER}' or '{DECODER}', got {side!r}")
     tgt_langs = [t for _, _, t in sources]
-    depths = np.arange(model.config.n_decoder_layers - 1)
+    if side == DECODER:
+        encoding = _encode(model, sources)
+        depths = np.arange(model.config.n_decoder_layers - 1)
 
     def translate(layers) -> list[list[str]]:
-        plan = depths + (depths >= np.asarray(layers)[:, None])
-        stepper = _ModelStepper(model, tgt_langs, encoding, beam_size, plan)
-        hyps = _hypotheses(_search(model, stepper, len(plan) * len(sources),
+        if side == DECODER:
+            stepper = _ModelStepper(model, tgt_langs, encoding, beam_size,
+                                    depths + (depths >= np.asarray(layers)[:, None]))
+        else:
+            encodings = [_encode(remove_layers(model, ENCODER, {j}), sources) for j in layers]
+            stepper = _ModelStepper(model, tgt_langs * len(layers),
+                                    [np.concatenate(a) for a in zip(*encodings)], beam_size)
+        hyps = _hypotheses(_search(model, stepper, len(layers) * len(sources),
                                    beam_size, max_len), model.vocab)
         return [hyps[i: i + len(sources)] for i in range(0, len(hyps), len(sources))]
 

@@ -435,6 +435,8 @@ class TestErrors:
         ("prune", "prune.importance_directions=5", "importance_directions"),
         ("prune", 'prune.importance_directions=["ab"]', "importance_directions"),
         ("prune", "prune.importance_directions=[[1, 2]]", "importance_directions"),
+        ("prune", 'prune.importance_directions=[["anu_Latn", "bnu_Latn"], '
+                  '["anu_Latn", "bnu_Latn"]]', "importance_directions"),
         ("bench", "decode=3", "decode"),
     ])
     def test_config_section_of_the_wrong_shape_is_config_error(

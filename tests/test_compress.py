@@ -72,6 +72,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             cfg(**{field: value})
 
+    def test_rejects_a_repeated_direction(self):
+        with pytest.raises(ValueError, match=r"importance_directions repeats "
+                                             r"\[\('bnu_Latn', 'anu_Latn'\)\]"):
+            cfg(importance_directions=DIRS + (list(DIRS[1]),))
+
     @pytest.mark.parametrize("n", [-1, 1.5, True, "2"])
     def test_layer_count_must_be_an_integer_at_least_zero(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 0"):
@@ -174,8 +179,8 @@ class TestLayerImportance:
         monkeypatch.undo()
         assert len(scores) == 2 + 4
         # the untrained model's scores are near 0, so compare the
-        # hypotheses too: one chrF++ call per candidate and direction, the
-        # decoder's direction by direction, then each encoder candidate's
+        # hypotheses too: one chrF++ call per candidate and direction, side
+        # by side, then direction by direction
         assert any(h for hs in hyps for h in hs)
         oracle_hyps = {}
         for (side, idx), score in scores.items():
@@ -184,9 +189,9 @@ class TestLayerImportance:
                                           max_len=40), (side, idx)
             oracle_hyps[side, idx] = [translate_records(candidate, dev_sets[d], 1, 40)
                                       for d in sorted(dev_sets)]
-        assert hyps == ([oracle_hyps["decoder", idx][i] for i in range(len(dev_sets))
-                         for idx in range(4)]
-                        + [h for idx in range(2) for h in oracle_hyps["encoder", idx]])
+        assert hyps == [oracle_hyps[side, idx][i]
+                        for side, n in (("encoder", 2), ("decoder", 4))
+                        for i in range(len(dev_sets)) for idx in range(n)]
 
     @pytest.mark.parametrize("sides, encodes_per_direction", [
         (["decoder"], 1), (["encoder", "decoder"], 2 + 1)])
@@ -221,18 +226,21 @@ class TestLayerImportance:
                                                 dev_sets, beam_size=1, max_len=40))
         assert list(scores[0].items()) == list(scores[1].items())
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus, side", [
+        (1, "decoder"), (2, "decoder"), (3, "decoder"),
+        (1, "encoder"), (2, "encoder"), (3, "encoder")],
+        ids=["1", "2", "3", "1-encoder", "2-encoder", "3-encoder"])
     def test_one_direction_splits_into_a_block_per_cpu(self, setup, monkeypatch,
-                                                       use_cpus, cpus):
-        """With fewer directions than CPUs a direction's decoder candidates
-        go out in contiguous blocks, one per CPU, and score as they do in
-        one block."""
+                                                       use_cpus, cpus, side):
+        """With fewer directions than CPUs a direction's candidates go out
+        in contiguous blocks, one per CPU and at most one per layer, and
+        score as they do in one block."""
         from minimt.compress import _dev_sets
 
         model, corpus = setup
         dev_sets = _dev_sets(cfg(importance_directions=DIRS[:1]), corpus.dev)
         use_cpus(1)
-        want = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
+        want = layer_importance_eval(model, [side], dev_sets, 1, 40)
         use_cpus(cpus)
         items = []
         map_ordered = compress_mod.map_ordered
@@ -242,10 +250,22 @@ class TestLayerImportance:
             return map_ordered(fn, mapped)
 
         monkeypatch.setattr(compress_mod, "map_ordered", recording_map)
-        got = layer_importance_eval(model, ["decoder"], dev_sets, 1, 40)
+        got = layer_importance_eval(model, [side], dev_sets, 1, 40)
         assert [list(layers) for *_, layers in items] == {
-            1: [[0, 1, 2, 3]], 2: [[0, 1], [2, 3]], 3: [[0], [1], [2, 3]]}[cpus]
+            ("decoder", 1): [[0, 1, 2, 3]], ("decoder", 2): [[0, 1], [2, 3]],
+            ("decoder", 3): [[0], [1], [2, 3]], ("encoder", 1): [[0, 1]],
+            ("encoder", 2): [[0], [1]], ("encoder", 3): [[0], [1]]}[side, cpus]
         assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("side", ["decoder", "encoder"])
+    def test_direction_without_records_is_named(self, setup, side):
+        from minimt.compress import _dev_sets
+
+        model, corpus = setup
+        dev_sets = {**_dev_sets(cfg(), corpus.dev), ("anu_Latn", "cnu_Latn"): []}
+        with pytest.raises(ValueError, match=r"no dev records for importance "
+                                             r"directions \[\('anu_Latn', 'cnu_Latn'\)\]"):
+            layer_importance_eval(model, [side], dev_sets, 1, 40)
 
     def test_single_layer_side_rejected(self, setup):
         from minimt.compress import _dev_sets

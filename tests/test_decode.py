@@ -452,8 +452,10 @@ def test_layer_plan_stepper_matches_a_stepper_per_removal(beam_size, seed):
                 (position, j, s)
 
 
-@pytest.mark.parametrize("beam_size", [1, 3])
-def test_removal_translator_decodes_like_each_pruned_model(model, beam_size):
+@pytest.mark.parametrize("beam_size, side", [
+    (1, DECODER), (3, DECODER), (1, ENCODER), (3, ENCODER)],
+    ids=["1", "3", "1-encoder", "3-encoder"])
+def test_removal_translator_decodes_like_each_pruned_model(model, beam_size, side):
     """Every candidate of removal_translator, whole or in a block, gives the
     hypotheses translate_records gives for the model without that layer."""
     model = model.clone()
@@ -464,12 +466,19 @@ def test_removal_translator_decodes_like_each_pruned_model(model, beam_size):
     records = _records([("abc fed", "", "anu_Latn"), ("fedcba", "", "bnu_Latn"),
                         ("a", "", "anu_Latn"), ("cab dab", "", "bnu_Latn")])
     translate = removal_translator(
-        model, [(r.src, r.src_lang, r.tgt_lang) for r in records], beam_size, 12)
-    want = [translate_records(remove_layers(model, DECODER, {j}), records, beam_size, 12)
-            for j in range(model.config.n_decoder_layers)]
+        model, side, [(r.src, r.src_lang, r.tgt_lang) for r in records], beam_size, 12)
+    n = (model.config.n_encoder_layers if side == ENCODER
+         else model.config.n_decoder_layers)
+    want = [translate_records(remove_layers(model, side, {j}), records, beam_size, 12)
+            for j in range(n)]
     assert any(h for hyps in want for h in hyps)
-    assert translate(range(3)) == want
-    assert translate(range(1, 3)) == want[1:]
+    assert translate(range(n)) == want
+    assert translate(range(1, n)) == want[1:]
+
+
+def test_removal_translator_rejects_an_unknown_side(model):
+    with pytest.raises(ValueError, match="'middle'"):
+        removal_translator(model, "middle", [("abc", "anu_Latn", "bnu_Latn")], 1, 12)
 
 
 def _unchunked_pass(model, records):
