@@ -10,7 +10,9 @@ checkout's digests on 1 and 2 CPUs can be diffed too.
 
 Each workload of <checkout>/perfbench runs one operation per seed with that
 checkout's minimt. Digested: translate hypotheses and output token counts
-(beam 1 and 3), the PruneReport JSON and fp16 checkpoint bytes, the filter's
+(beam 1 and 3) with every BeamResult's tokens, finished flag and float64
+logprob and score bytes (a score change that keeps the hypothesis shows
+too), the PruneReport JSON and fp16 checkpoint bytes, the filter's
 kept records and FilterReport JSON with the float bytes of every semantic
 embedding and QE score it computed (a score change that flips no threshold
 decision shows too), and train's optimizer steps, dev loss and the bytes of
@@ -62,6 +64,25 @@ def params_digest(model) -> str:
     return h.hexdigest()
 
 
+def beam_results_digest(workload, beam: int) -> str:
+    """sha256 over the BeamResults of translate's records at one beam, from
+    decode.translate_batch over the batches decode_corpus makes, called in
+    this process: decode_corpus decodes them in pool workers, where a
+    wrapper would not see the calls."""
+    from minimt import bench, decode
+
+    cfg = workload._cfg(beam)
+    h = hashlib.sha256()
+    for batch in bench.batch_by_tokens(workload.records, cfg.batch_token_budget,
+                                       bench.encoder_token_count(workload.model.vocab)):
+        for r in decode.translate_batch(workload.model,
+                                        [(r.src, r.src_lang, r.tgt_lang) for r in batch],
+                                        beam, cfg.max_output_length):
+            h.update(repr((r.tokens, r.finished)).encode())
+            h.update(struct.pack("<dd", r.logprob, r.score))
+    return h.hexdigest()
+
+
 def outputs(name: str, workload) -> list:
     """The checked outputs of one operation, timings excluded."""
     from minimt import training
@@ -81,7 +102,8 @@ def outputs(name: str, workload) -> list:
         return [out["steps"], repr(out["dev_loss"]), params_digest(model)]
     out = workload.op().out
     if name == "translate":
-        return [(beam, hyps, tokens) for beam, (hyps, tokens, *_) in sorted(out.items())]
+        return [(beam, hyps, tokens, beam_results_digest(workload, beam))
+                for beam, (hyps, tokens, *_) in sorted(out.items())]
     if name == "prune":
         _, fp16_bytes, _ = workload.last
         return [out["report"], hashlib.sha256(fp16_bytes).hexdigest()]

@@ -141,6 +141,8 @@ def _dev_sets(cfg: PruneConfig, dev_records) -> dict[tuple[str, str], list]:
 
 
 def _check_records(dev_sets: dict) -> None:
+    if not dev_sets:
+        raise ValueError("no importance directions: dev_sets is empty")
     empty = [d for d, recs in dev_sets.items() if not recs]
     if empty:
         raise ValueError(f"no dev records for importance directions {empty}")

@@ -8,6 +8,13 @@ Scoring: a hypothesis is ranked by cumulative log-probability during search
 and by length-normalized score (logprob / length) at the end, where length
 counts generated tokens including eos. Ties break by lower first differing
 token index, then shorter hypothesis.
+
+Early stop: a sample stops decoding once it has a finished hypothesis and
+every live beam's cum / max_len is strictly below the best finished score.
+This is exact: every step's log-probability is <= 0 (log-softmax), so a
+descendant's logprob is at most cum, and its length at most max_len, so it
+scores at most cum / max_len in the same float64 division. A tie on score
+could still win on a lower token, hence the strict comparison.
 """
 
 from __future__ import annotations
@@ -265,10 +272,13 @@ def beam_search_over_stepper(stepper, n_samples: int, vocab_size: int,
                              eos_id: int, beam_size: int, max_len: int) -> list[BeamResult]:
     """Core beam loop over any stepper exposing prime_logits / reorder /
     advance. Used by the model decoder and by table-driven test fixtures.
-    The stepper holds only the rows of samples that still have an alive
-    beam: reorder(parent_rows) may shrink the batch (new row i continues old
-    row parent_rows[i]; unlisted rows are dropped), and advance takes token
-    ids for, and returns logits of, the current rows only."""
+    The stepper holds only the rows of samples whose result can still
+    change: a sample leaves once none of its beams is alive, or once no
+    live beam can beat its best finished hypothesis (the module docstring's
+    early stop). reorder(parent_rows) may shrink the batch (new row i
+    continues old row parent_rows[i]; unlisted rows are dropped), and
+    advance takes token ids for, and returns logits of, the current rows
+    only."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
     if max_len < 1:
@@ -325,91 +335,102 @@ def _greedy_search(stepper, n_samples: int, eos_id: int,
     return results
 
 
+def _group_position(groups: np.ndarray) -> np.ndarray:
+    """Each element's position among the equal elements of a sorted array."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups)
+
+
 def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
                beam_size: int, max_len: int) -> list[BeamResult]:
-    """beam_search_over_stepper, for any beam size, one sample at a time."""
-    k = beam_size
-    r = n_samples * k
+    """beam_search_over_stepper for beams >= 2, every live sample at once.
+    A step's candidates all extend alive beams of one length, so the lower
+    first differing token is the lower (parent's lexicographic rank within
+    its sample, token): one lexsort orders the candidates that reach their
+    sample's k-th highest score by (sample, -score, parent rank, token),
+    and each sample takes its first k. A sample stops once every live beam
+    has cum / max_len below its best finished score (module docstring)."""
+    k, v = beam_size, vocab_size
+    # each sample's best finished hypothesis, (tokens with eos, logprob,
+    # score), and its score
+    best: list[tuple | None] = [None] * n_samples
+    best_score = np.full(n_samples, -np.inf)
 
-    cum = np.full((n_samples, k), -np.inf, dtype=np.float64)
-    cum[:, 0] = 0.0
-    tokens: list[tuple[int, ...]] = [() for _ in range(r)]
-    alive = np.zeros((n_samples, k), dtype=bool)
-    alive[:, 0] = True
-    finished: list[list[tuple[tuple, float, float]]] = [[] for _ in range(n_samples)]
-
-    # row i * k + slot of the stepper is that slot of sample live[i]
+    # row i * k + slot of the stepper and of tokens is that slot of sample
+    # live[i]; a dead slot's cum is -inf, and an alive slot's rank is its
+    # lexicographic rank among its sample's alive slots
     live = np.arange(n_samples)
+    cum = np.full((n_samples, k), -np.inf)
+    cum[:, 0] = 0.0
+    rank = np.zeros((n_samples, k), dtype=np.int64)
+    tokens = np.zeros((n_samples * k, max_len), dtype=np.int64)
     logits = stepper.prime_logits()
     for g in range(max_len):
-        logp = _log_softmax(logits.astype(np.float64))
-        cand = cum[live, :, None] + logp.reshape(len(live), k, vocab_size)
-        cand[~alive[live]] = -np.inf
+        n = len(live)
+        cand = cum[:, :, None] + _log_softmax(logits.astype(np.float64)).reshape(n, k, v)
+        cand = cand.reshape(n, k * v)
+        cand[~np.isfinite(cand)] = -np.inf
+        # a sample's k-th highest score; -inf when it has fewer than k
+        # finite candidates, which then all take part
+        threshold = np.partition(cand, k * v - k, axis=1)[:, k * v - k]
+        i, f = np.nonzero((cand >= threshold[:, None]) & (cand > -np.inf))
+        j, tok = np.divmod(f, v)
+        lp = cand[i, f]
+        order = np.lexsort((tok, rank[i, j], -lp, i))
+        first_k = order[_group_position(i[order]) < k]
+        i, j, tok, lp = i[first_k], j[first_k], tok[first_k], lp[first_k]
+        rows = i * k + j
 
-        # dead slots default to row 0 of their own sample so cache gathers stay valid
-        parent_rows = np.repeat(np.arange(len(live)) * k, k).reshape(len(live), k)
-        next_ids = np.zeros((len(live), k), dtype=np.int64)
-        new_cum = np.full((n_samples, k), -np.inf, dtype=np.float64)
-        new_alive = np.zeros((n_samples, k), dtype=bool)
-        new_tokens: list[tuple[int, ...]] = [() for _ in range(r)]
+        ends = tok == eos_id
+        for t in np.flatnonzero(ends).tolist():
+            s, flp = int(live[i[t]]), float(lp[t])
+            seq = (*tokens[rows[t], :g].tolist(), eos_id)
+            score = _normalized(flp, g + 1)
+            if best[s] is None or _final_key(seq, score) < _final_key(best[s][0], best[s][2]):
+                best[s] = (seq, flp, score)
+                best_score[s] = score
 
-        for i, s in enumerate(live.tolist()):
-            flat = cand[i].ravel()
-            finite = np.isfinite(flat)
-            n_finite = int(finite.sum())
-            if n_finite == 0:
-                continue
-            kk = min(k, n_finite)
-            part = np.argpartition(-flat, kk - 1)[:kk]
-            threshold = flat[part].min()
-            pool = np.flatnonzero(flat >= threshold)
-            pool = sorted(
-                pool.tolist(),
-                key=lambda f: (-flat[f], tokens[s * k + f // vocab_size] + (f % vocab_size,)),
-            )[:kk]
-            slot = 0
-            for f in pool:
-                j, tok = divmod(f, vocab_size)
-                seq = tokens[s * k + j] + (tok,)
-                if tok == eos_id:
-                    lp = float(flat[f])
-                    finished[s].append((seq, lp, _normalized(lp, len(seq))))
-                else:
-                    parent_rows[i, slot] = i * k + j
-                    next_ids[i, slot] = tok
-                    new_cum[s, slot] = flat[f]
-                    new_alive[s, slot] = True
-                    new_tokens[s * k + slot] = seq
-                    slot += 1
+        # alive beams take their sample's slots in selection order; dead
+        # slots continue row 0 of their own sample so cache gathers stay valid
+        grows = ~ends
+        i, j, tok = i[grows], j[grows], tok[grows]
+        slot = _group_position(i)
+        cum = np.full((n, k), -np.inf)
+        cum[i, slot] = lp[grows]
+        parent_rows = np.repeat(np.arange(n) * k, k).reshape(n, k)
+        parent_rows[i, slot] = rows[grows]
+        next_ids = np.zeros((n, k), dtype=np.int64)
+        next_ids[i, slot] = tok
+        order = np.lexsort((tok, rank[i, j], i))
+        rank = np.zeros((n, k), dtype=np.int64)
+        rank[i[order], slot[order]] = _group_position(i[order])
+        tokens = tokens[parent_rows.ravel()]
+        tokens[:, g] = next_ids.ravel()
 
-        cum, alive, tokens = new_cum, new_alive, new_tokens
-        keep = alive[live].any(axis=1)
-        live = live[keep]
+        # slot 0 holds a sample's highest cum
+        bound = cum[:, 0] / max_len
+        keep = (bound > -np.inf) & (bound >= best_score[live])
+        live, cum, rank = live[keep], cum[keep], rank[keep]
+        tokens = tokens.reshape(n, k, max_len)[keep].reshape(-1, max_len)
         if g == max_len - 1 or not len(live):
             break
         stepper.reorder(parent_rows[keep].ravel())
         logits = stepper.advance(next_ids[keep].ravel(), g)
 
+    # samples still live here reached max_len
+    row_of = {s: r for r, s in enumerate(live.tolist())}
     results = []
     for s in range(n_samples):
-        if finished[s]:
-            seq, lp, score = min(finished[s], key=lambda e: _final_key(e[0], e[2]))
+        if best[s] is not None:
+            seq, lp, score = best[s]
             results.append(BeamResult(seq[:-1], lp, score, True))
+        elif s in row_of:
+            r = row_of[s]
+            seq, lp = min(((tuple(tokens[r * k + j].tolist()), float(cum[r, j]))
+                           for j in np.flatnonzero(cum[r] > -np.inf).tolist()),
+                          key=lambda e: _final_key(e[0], _normalized(e[1], max_len)))
+            results.append(BeamResult(seq, lp, _normalized(lp, max_len), False))
         else:
-            best = None
-            for j in range(k):
-                if not alive[s, j]:
-                    continue
-                seq = tokens[s * k + j]
-                lp = float(cum[s, j])
-                score = _normalized(lp, len(seq))
-                cand_res = (seq, lp, score)
-                if best is None or _final_key(cand_res[0], cand_res[2]) < _final_key(best[0], best[2]):
-                    best = cand_res
-            if best is None:
-                results.append(BeamResult((), -math.inf, -math.inf, False))
-            else:
-                results.append(BeamResult(best[0], best[1], best[2], False))
+            results.append(BeamResult((), -math.inf, -math.inf, False))
     return results
 
 

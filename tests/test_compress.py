@@ -267,6 +267,11 @@ class TestLayerImportance:
                                              r"directions \[\('anu_Latn', 'cnu_Latn'\)\]"):
             layer_importance_eval(model, [side], dev_sets, 1, 40)
 
+    def test_empty_dev_sets_are_named(self, setup):
+        model, _ = setup
+        with pytest.raises(ValueError, match="no importance directions"):
+            layer_importance_eval(model, ["decoder"], {}, 1, 40)
+
     def test_single_layer_side_rejected(self, setup):
         from minimt.compress import _dev_sets
 

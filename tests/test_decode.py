@@ -9,7 +9,6 @@ from minimt.decode import (
     FORCED_BLOCK,
     ROW_CHUNK,
     NonFiniteLogitsError,
-    _beam_loop,
     _encode,
     _ModelStepper,
     beam_search_over_stepper,
@@ -39,6 +38,7 @@ from minimt.rng import Rng
 from minimt.vocab import build_vocab
 
 from .gradcheck import FakeRecord
+from .oracles.beam_reference import _beam_loop
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,42 @@ class TestBeamCore:
             for g in range(max(lengths))]
 
 
+class TestEarlyStop:
+    """A sample stops once no live beam can beat its best finished
+    hypothesis: a descendant of a beam with cumulative log-probability cum
+    scores at most cum / max_len."""
+
+    def test_dominated_sample_leaves_on_that_step(self):
+        # sample 0 ends at once with score ~-0.007, and its live beam's
+        # bound, ~-5 / 4, cannot reach it; sample 1 goes on for two tokens
+        tables = [{(): [0.0, -9.0, 5.0, -9.0]},
+                  {(0, 0): [-9.0, -9.0, 5.0, -9.0]}]
+        steppers = [TableStepper(tables, 4, n_samples=2, beam_size=2,
+                                 default=[2.0, 1.5, -9.0, 1.0]) for _ in range(2)]
+        got = beam_search_over_stepper(steppers[0], 2, 4, EOS, 2, max_len=4)
+        assert [(r.tokens, r.finished) for r in got] == [((), True), ((0, 0), True)]
+        assert steppers[0].advanced == [[1, 1], [1, 1]]
+        assert got == _beam_loop(steppers[1], 2, 4, EOS, 2, 4)
+
+    def test_a_bound_equal_to_the_best_score_keeps_decoding(self):
+        # a row with one finite logit has log-probability 0 there, and with
+        # two equal ones u = -log 2 each. (1, eos) finishes at step 1 with
+        # score u / 2; the live (0, 0) has cum 2u, whose bound 2u / 4 equals
+        # it, so it goes on to (0, 0, 0, eos), which ties on score and wins
+        # on its lower first token
+        inf = -np.inf
+        table = {(): [0.0, 0.0, inf, inf],
+                 (0,): [0.0, inf, inf, 0.0],
+                 (1,): [inf, inf, 0.0, inf],
+                 (0, 0): [0.0, inf, inf, inf],
+                 (0, 0, 0): [inf, inf, 0.0, inf]}
+        stepper = TableStepper(table, 4, beam_size=2)
+        got = beam_search_over_stepper(stepper, 1, 4, EOS, 2, max_len=4)[0]
+        u = -np.log(2.0)
+        assert (got.tokens, got.finished, got.score) == ((0, 0, 0), True, u / 2)
+        assert len(stepper.advanced) == 3
+
+
 class TestGreedyTies:
     """Beam 1 picks each live row's token with one row-wise argmax over its
     scores; among equal top scores the lowest token id wins, as in the
@@ -221,6 +257,75 @@ def beam_search_oracle(tables, n_samples, vocab_size, max_len, default=None):
     return _beam_loop(stepper, n_samples, vocab_size, EOS, 1, max_len)
 
 
+def _random_case(rng):
+    """A batch of 1-5 samples over a vocabulary of 4 or 5: one table of
+    small integer logits per sample, so that scores tie at most steps. Some
+    samples share their table, some tables give every prefix of a length one
+    row (so beams of different parents tie), a few rows are -inf in part or
+    whole (no finite candidate), and the default row for prefixes a table
+    lacks may keep a sample going until max_len."""
+    vocab_size = int(rng.integers(4, 6))
+    n_samples = int(rng.integers(1, 6))
+    max_len = int(rng.integers(1, 6))
+    words = [t for t in range(vocab_size) if t != EOS]
+    prefixes = [p for n in range(max_len) for p in itertools.product(words, repeat=n)]
+
+    def row():
+        if rng.random() < 0.03:
+            return [-np.inf] * vocab_size
+        logits = rng.integers(0, 3, vocab_size).astype(float)
+        logits[rng.random(vocab_size) < 0.1] = -np.inf
+        return logits.tolist()
+
+    tables = []
+    for _ in range(n_samples):
+        if tables and rng.random() < 0.2:
+            tables.append(tables[int(rng.integers(len(tables)))])
+        elif rng.random() < 0.3:
+            by_length = [row() for _ in range(max_len)]
+            tables.append({p: by_length[len(p)] for p in prefixes})
+        else:
+            tables.append({p: row() for p in prefixes if rng.random() < 0.7})
+    default = rng.integers(0, 3, vocab_size).astype(float)
+    if rng.random() < 0.5:
+        default[EOS] = -3.0
+    return tables, vocab_size, n_samples, max_len, default.tolist()
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 3, 4])
+def test_beam_search_equals_the_reference_loop_on_tied_tables(beam_size):
+    """beam_search_over_stepper returns the reference loop's BeamResults on
+    60 random batches per beam size. Across them, samples stop at different
+    steps, some reach max_len unfinished, some end with no finite
+    candidate, and (beams >= 2) some stop before the reference loop lets
+    them."""
+    seen = set()
+    for seed in range(60):
+        tables, vocab_size, n_samples, max_len, default = _random_case(
+            np.random.default_rng([beam_size, seed]))
+
+        def run(search):
+            stepper = TableStepper(tables, vocab_size, n_samples, beam_size, default)
+            with np.errstate(invalid="ignore"):
+                return search(stepper, n_samples, vocab_size, EOS, beam_size,
+                              max_len), stepper.advanced
+
+        (got, advanced), (want, want_advanced) = (run(beam_search_over_stepper),
+                                                  run(_beam_loop))
+        assert got == want, seed
+        steps = [sum(s in rows for rows in advanced) for s in range(n_samples)]
+        if len(set(steps)) > 1:
+            seen.add("stop at different steps")
+        if any(not r.finished and len(r.tokens) == max_len for r in got):
+            seen.add("max_len unfinished")
+        if any(r.score == -np.inf for r in got):
+            seen.add("no finite candidate")
+        if sum(map(len, advanced)) < sum(map(len, want_advanced)):
+            seen.add("early stop")
+    assert seen == {"stop at different steps", "max_len unfinished",
+                    "no finite candidate"} | ({"early stop"} if beam_size > 1 else set())
+
+
 class TestModelDecode:
     def test_beam1_equals_greedy_chain_from_teacher_forcing(self, model):
         v = model.vocab
@@ -269,6 +374,31 @@ class TestModelDecode:
                 scores.append(res.score)
             assert scores[0] <= scores[1] + 1e-12
             assert scores[1] <= scores[2] + 1e-12
+
+    @pytest.mark.parametrize("beam_size", [2, 3, 4])
+    def test_beam_search_equals_the_reference_loop(self, model, beam_size):
+        """translate_batch returns the reference loop's BeamResults over a
+        batch of both directions and unequal lengths, for the model as
+        built, whose samples finish at different lengths, and for a copy
+        with larger residual branches and eos logits, most of whose samples
+        reach max_len."""
+        sources = [("abc fed", "anu_Latn", "bnu_Latn"), ("fedcba", "bnu_Latn", "anu_Latn"),
+                   ("a", "anu_Latn", "bnu_Latn"), ("cab dab e", "bnu_Latn", "anu_Latn"),
+                   ("", "anu_Latn", "bnu_Latn"), ("dd", "bnu_Latn", "anu_Latn")]
+        scaled = model.clone()
+        for name, a in scaled.params.items():
+            if name.endswith((".wo", ".w2")):
+                a *= 8
+        scaled.params["embedding"][model.vocab.eos] *= 3
+        finished = set()
+        for m in (model, scaled):
+            got = translate_batch(m, sources, beam_size, max_len=12)
+            stepper = _ModelStepper(m, [t for _, _, t in sources], _encode(m, sources),
+                                    beam_size)
+            assert got == _beam_loop(stepper, len(sources), len(m.vocab), m.vocab.eos,
+                                     beam_size, 12)
+            finished |= {r.finished for r in got}
+        assert finished == {True, False}
 
     def test_empty_batch(self, model):
         assert translate_batch(model, []) == []
