@@ -17,7 +17,6 @@ from minimt import (
     SplitSpec,
     ToyLanguageSpec,
     TrainConfig,
-    bench_throughput,
     build_vocab,
     generate_synthetic_corpus,
     init_model,
@@ -27,6 +26,7 @@ from minimt import (
     save_checkpoint,
     train,
 )
+from minimt.bench import decode_corpus
 
 spec = ToyLanguageSpec()
 corpus = generate_synthetic_corpus(
@@ -60,7 +60,7 @@ cfg = DecodeConfig(beam_size=3, batch_token_budget=1024, max_output_length=48)
 print(f"\nBenchmarking decoder depth on {len(corpus.devtest)} devtest records "
       f"(beam {cfg.beam_size}, {cfg.batch_token_budget}-token batches):")
 for label, m in (("6 decoder layers", model), ("4 decoder layers", pruned)):
-    runs = [bench_throughput(m, corpus.devtest, cfg, warmup_batches=1)
+    runs = [decode_corpus(m, corpus.devtest, cfg, warmup_batches=1)
             for _ in range(3)]
     median = statistics.median(r.tokens_per_second for r in runs)
     print(f"  {label}: median {median:7.0f} output tokens/s "

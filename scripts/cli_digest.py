@@ -56,19 +56,20 @@ RUNS = [
      "--out", "kd.jsonl", "--set", "distill.beam_size=2",
      "--set", "distill.max_len=24"],
     ["prune", "--ckpt", "base.ckpt", "--dev", "data/dev.jsonl",
-     "--out", "pruned.ckpt", "--strategy", "iterative", "--n", "1",
-     "--set", "prune.max_len=24"],
+     "--out", "pruned.ckpt", "--set", "prune.strategy=iterative",
+     "--set", "prune.n=1", "--set", "prune.max_len=24"],
     # one layer off each side, so that an importance pass scores encoder
     # candidates too
     ["prune", "--ckpt", "base.ckpt", "--dev", "data/dev.jsonl",
-     "--out", "pruned-both.ckpt", "--strategy", "iterative", "--n", "1",
-     "--side", "encoder+decoder", "--set", "prune.max_len=24"],
+     "--out", "pruned-both.ckpt", "--set", "prune.strategy=iterative",
+     "--set", "prune.n=1", "--set", "prune.sides=encoder+decoder",
+     "--set", "prune.max_len=24"],
     ["quantize", "--ckpt", "pruned.ckpt", "--out", "pruned-fp16.ckpt"],
     ["evaluate", "--ckpt", "pruned.ckpt", "--testset", "data/devtest.jsonl",
-     "--out", "eval.json", "--csv", "eval.csv", *DECODE],
+     "--out", "eval.json", *DECODE],
     ["bench", "--ckpt", "pruned.ckpt", "--testset", "data/devtest.jsonl",
      "--out", "bench.json", "--set", "repetitions=2", *DECODE],
-    ["report", "--in", "eval.json", "--format", "csv", "--out", "report.csv"],
+    ["report", "--in", "eval.json", "--out", "report.csv"],
     ["report", "--in", "eval.json", "--chart", "quality-efficiency",
      "--out", "chart.csv"],
 ]

@@ -25,7 +25,7 @@ exceptions, which are all that the scan prints today:
 - `run_compression_pipeline` and `SubprocessScorer`, and their parameters,
   which the README documents;
 - `read_corpus`'s `format`, the README's TSV input;
-- `clock` parameters, which the tests replace with fake clocks;
+- `evaluate_direction`'s `clock`, which the tests replace with a fake clock;
 - `generate_synthetic_corpus`'s `directions`, with which the test fixtures
   build one-direction and same-language corpora.
 """

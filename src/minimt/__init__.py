@@ -9,7 +9,7 @@ throughput.
 
 __version__ = "0.1.0"
 
-from .bench import DecodeConfig, batch_by_tokens, bench_throughput
+from .bench import DecodeConfig, batch_by_tokens
 from .checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -54,7 +54,7 @@ from .model import (
     remove_layers,
 )
 from .optim import AdamState, adam_step
-from .reports import EvalReport, EvalRow, RunManifest, emit_report
+from .reports import EvalReport, EvalRow, RunManifest
 from .rng import Rng
 from .synthetic import (
     NoiseRates,

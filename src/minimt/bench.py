@@ -111,12 +111,3 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
         total_seconds=end - start_total,
         n_batches=len(batches),
     )
-
-
-def bench_throughput(model, testset, cfg: DecodeConfig,
-                     warmup_batches: int = 1, clock=None) -> DecodeRun:
-    """Output tokens/second over a testset; zero tokens give throughput 0."""
-    if not testset:
-        raise ValueError("empty testset")
-    return decode_corpus(model, testset, cfg, warmup_batches=warmup_batches,
-                         clock=clock)

@@ -2,10 +2,14 @@
 
 Every subcommand but quantize and report reads an optional JSON config
 (fields overridable with repeated --set dotted.path=value flags) and
-validates it before touching any output. All but report then run through
+validates it before touching any output; a key the subcommand does not
+read is a config error. Settings have no flags of their own, so the
+manifest's config holds all of them. All but report then run through
 _run, which times the work and publishes its artifacts plus a RunManifest
-all-or-nothing through reports.publish. Exit codes: 0 success, 2
-usage/config error, 3 runtime failure; errors print JSON to stderr.
+all-or-nothing through reports.publish. report publishes one EvalReport's
+or PruneReport's CSV, or with --chart the chart data of several
+EvalReports. Exit codes: 0 success, 2 usage/config error, 3 runtime
+failure; errors print JSON to stderr.
 
 The MINIMT_CONFIG_DIR environment variable supplies the directory against
 which bare config file names are resolved.
@@ -22,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .bench import DecodeConfig, bench_throughput
+from .bench import DecodeConfig, decode_corpus
 from .checkpoint import checkpoint_bytes, load_checkpoint
 from .compress import (
     DistillConfig,
@@ -45,13 +49,7 @@ from .filtering import (
 from .langid import train_langid
 from .metrics import evaluate_direction
 from .model import ModelConfig, init_model, quantize_fp16
-from .reports import (
-    EvalReport,
-    RunManifest,
-    emit_report,
-    publish,
-    quality_efficiency_csv,
-)
+from .reports import EvalReport, RunManifest, publish, quality_efficiency_csv
 from .rng import Rng
 from .synthetic import (
     NoiseRates,
@@ -95,7 +93,9 @@ def _parse_override(text: str):
     return path.split("."), value
 
 
-def load_config(path: str | None, overrides) -> dict:
+def load_config(path: str | None, overrides, keys) -> dict:
+    """The config file's object (or {}) with the overrides applied; a
+    top-level key outside keys, schema_version aside, is a config error."""
     cfg: dict = {}
     if path:
         with open(_resolve_config_path(path)) as f:
@@ -109,14 +109,23 @@ def load_config(path: str | None, overrides) -> dict:
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
     for flag in overrides or ():
-        keys, value = _parse_override(flag)
+        dotted, value = _parse_override(flag)
         node = cfg
-        for k in keys[:-1]:
+        for k in dotted[:-1]:
             node = node.setdefault(k, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"--set path {'.'.join(keys)} crosses a non-object")
-        node[keys[-1]] = value
-    return cfg
+                raise ConfigError(f"--set path {'.'.join(dotted)} crosses a non-object")
+        node[dotted[-1]] = value
+    return _known(cfg, ("schema_version", *keys), "config")
+
+
+def _known(node: dict, keys, what: str) -> dict:
+    """node, or a config error naming every key of it outside keys."""
+    unknown = sorted(set(node) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; "
+                          f"expected some of {sorted(keys)}")
+    return node
 
 
 def _number(kind, node: dict, key: str, default):
@@ -185,13 +194,14 @@ def _read(path):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set,
+                      ("seed", "train_size", "dev_size", "devtest_size",
+                       "noise_rates", "langid_seed_size"))
     seed = _number(int, cfg, "seed", 0)
     sizes = _build(SplitSpec, {
         "train_size": _number(int, cfg, "train_size", 2000),
         "dev_size": _number(int, cfg, "dev_size", 200),
         "devtest_size": _number(int, cfg, "devtest_size", 200),
-        "seed": seed,
     }, "split")
     noise = _build(NoiseRates, _section(cfg, "noise_rates"), "noise")
     langid_seed_size = _number(int, cfg, "langid_seed_size", 80)
@@ -228,8 +238,9 @@ def _load_langid_seed(path) -> dict[str, list[str]]:
 
 
 def cmd_filter(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, ("filter", "semantic_pivot_lang", "qe"))
     fc = _build(FilterConfig, _section(cfg, "filter"), "filter")
+    qe_cfg = _known(_section(cfg, "qe"), ("midpoint", "scale"), "qe")
 
     scorers = ScorerSet()
     inputs = [args.infile]   # and every file that scores a stage
@@ -254,7 +265,6 @@ def cmd_filter(args) -> int:
             raise ConfigError("semantic stage needs semantic_pivot_lang in config")
         scorers.embedder = PivotTranslationEmbedder(model, pivot)
     if fc.enabled("quality_estimation"):
-        qe_cfg = _section(cfg, "qe")
         scorers.qe = ForcedLogProbQualityScorer(
             model, midpoint=_number(float, qe_cfg, "midpoint", -1.5),
             scale=_number(float, qe_cfg, "scale", 0.5))
@@ -272,7 +282,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, ("seed", "train", "model"))
     seed = _number(int, cfg, "seed", 0)
     tc = _build(TrainConfig, {**_section(cfg, "train"), "seed": seed}, "train")
 
@@ -305,7 +315,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, ("distill",))
     dc = _build(DistillConfig, _section(cfg, "distill"), "distill")
     teacher = load_checkpoint(args.teacher)
     authentic = _read(args.corpus)
@@ -317,25 +327,12 @@ def cmd_distill(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, ("prune",))
     dev_records = _read(args.dev)
-    prune_cfg_obj = dict(_section(cfg, "prune"))
-    if args.strategy:
-        prune_cfg_obj["strategy"] = args.strategy
-    if args.n is not None:
-        prune_cfg_obj["n"] = args.n
-    if args.side:
-        prune_cfg_obj["sides"] = args.side
-    directions = prune_cfg_obj.get(
-        "importance_directions",
-        sorted({(r.src_lang, r.tgt_lang) for r in dev_records}))
-    if not isinstance(directions, list) or not all(
-            isinstance(d, (list, tuple)) and len(d) == 2
-            and all(isinstance(lang, str) for lang in d) for d in directions):
-        raise ConfigError("importance_directions must be a list of [src, tgt] "
-                          f"pairs, got {directions!r}")
-    prune_cfg_obj["importance_directions"] = [tuple(d) for d in directions]
-    pc = _build(PruneConfig, prune_cfg_obj, "prune")
+    pc = _build(PruneConfig, {
+        "importance_directions": sorted({(r.src_lang, r.tgt_lang)
+                                         for r in dev_records}),
+        **_section(cfg, "prune")}, "prune")
 
     model = load_checkpoint(args.ckpt)
     timings: dict = {}
@@ -385,7 +382,7 @@ def _decode_setup(args, cfg):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set, ("decode",))
     dc, model, testset = _decode_setup(args, cfg)
 
     def work():
@@ -394,17 +391,15 @@ def cmd_evaluate(args) -> int:
             groups.setdefault(r.direction, []).append(r)
         report = EvalReport(rows=[evaluate_direction(model, groups[d], dc)
                                   for d in sorted(groups)])
-        files = {args.out: report.to_json()}
-        if args.csv:
-            files[args.csv] = report.to_csv()
-        return files
+        return {args.out: report.to_json()}
 
     return _run("evaluate", cfg, None, [args.ckpt, args.testset],
                 args.out + ".manifest.json", work)
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config, args.set)
+    cfg = load_config(args.config, args.set,
+                      ("repetitions", "warmup_batches", "decode"))
     repetitions = _number(int, cfg, "repetitions", 3)
     warmup = _number(int, cfg, "warmup_batches", 1)
     if repetitions < 1:
@@ -414,7 +409,7 @@ def cmd_bench(args) -> int:
     dc, model, testset = _decode_setup(args, cfg)
 
     def work():
-        runs = [bench_throughput(model, testset, dc, warmup_batches=warmup)
+        runs = [decode_corpus(model, testset, dc, warmup_batches=warmup)
                 for _ in range(repetitions)]
         return {args.out: json.dumps({
             "model_id": model.model_id(),
@@ -456,7 +451,7 @@ def cmd_report(args) -> int:
         report = PruneReport.from_json(text)
     else:
         raise ConfigError("unrecognized report JSON shape")
-    emit_report(report, args.format, args.out)
+    publish({args.out: report.to_csv()})
     return EXIT_OK
 
 
@@ -511,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dev", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--report")
-    sp.add_argument("--strategy", choices=["iterative", "middle"])
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--side", choices=["decoder", "encoder+decoder"])
     sp.set_defaults(func=cmd_prune)
 
     sp = sub.add_parser("quantize", help="store weights in half precision")
@@ -526,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--testset", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--csv")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("bench", help="measure decoding throughput")
@@ -536,9 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("report", help="convert or chart report files")
+    sp = sub.add_parser("report", help="write a report as CSV, or chart reports")
     sp.add_argument("--in", dest="infile", action="append", required=True)
-    sp.add_argument("--format", choices=["json", "csv"], default="csv")
     sp.add_argument("--out", required=True)
     sp.add_argument("--chart", choices=["quality-efficiency"])
     sp.set_defaults(func=cmd_report)

@@ -52,9 +52,15 @@ class PruneConfig:
             raise ValueError(f"sides must be {SIDES_DECODER!r} or {SIDES_BOTH!r}")
         if self.strategy not in (STRATEGY_ITERATIVE, STRATEGY_MIDDLE):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not self.importance_directions:
+        directions = self.importance_directions
+        if not isinstance(directions, (list, tuple)) or not all(
+                isinstance(d, (list, tuple)) and len(d) == 2
+                and all(isinstance(lang, str) for lang in d) for d in directions):
+            raise ValueError("importance_directions must be a list of [src, tgt] "
+                             f"string pairs, got {directions!r}")
+        if not directions:
             raise ValueError("importance_directions must be nonempty")
-        directions = [tuple(d) for d in self.importance_directions]
+        directions = [tuple(d) for d in directions]
         repeated = sorted({d for d in directions if directions.count(d) > 1})
         if repeated:
             raise ValueError(f"importance_directions repeats {repeated}")

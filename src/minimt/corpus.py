@@ -147,7 +147,6 @@ class SplitSpec:
     train_size: int = 2000
     dev_size: int = 200
     devtest_size: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         check_counts(self, "train_size", "dev_size", "devtest_size", minimum=0)

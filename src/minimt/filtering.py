@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import queue
 import re
@@ -143,15 +142,6 @@ class FilterReport:
             "n_in": self.n_in, "n_out": self.n_out,
             "stages": [s.to_dict() for s in self.stages],
         }, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("stage,n_in,n_kept,n_dropped,modified,drop_reasons\n")
-        for s in self.stages:
-            reasons = ";".join(f"{k}={v}" for k, v in sorted(s.drop_reasons.items()))
-            out.write(f"{s.stage},{s.n_in},{s.n_kept},"
-                      f"{sum(s.drop_reasons.values())},{s.modified},{reasons}\n")
-        return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,6 @@ class EvalReport:
             })
         return out
 
-    def validate(self):
-        """Aggregates must be recomputable from the rows (they are computed
-        on demand, so this asserts the arithmetic is stable)."""
-        for agg in self.aggregates():
-            members = [r for r in self.rows
-                       if agg["group"] == "overall"
-                       or r.direction.endswith(agg["group"][1:])]
-            assert abs(agg["bleu"] - sum(r.bleu for r in members) / len(members)) < 1e-9
-
     def to_json(self) -> str:
         return json.dumps({
             "rows": [asdict(r) for r in self.rows],
@@ -155,17 +146,6 @@ def publish(files: dict) -> list[str]:
 
 def _as_bytes(data) -> bytes:
     return data.encode() if isinstance(data, str) else data
-
-
-def emit_report(report, format: str, path) -> str:
-    """Write an EvalReport / PruneReport / FilterReport as json or csv."""
-    if format == "json":
-        text = report.to_json()
-    elif format == "csv":
-        text = report.to_csv()
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-    return publish({path: text})[0]
 
 
 def sha256_file(path) -> str:

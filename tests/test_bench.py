@@ -3,7 +3,6 @@ import pytest
 from minimt.bench import (
     DecodeConfig,
     batch_by_tokens,
-    bench_throughput,
     decode_corpus,
 )
 from minimt.corpus import ParallelRecord
@@ -98,8 +97,8 @@ class TestBench:
     def test_throughput_definition_with_fake_clock(self, model):
         clock = FakeClock(step=0.5)
         cfg = DecodeConfig(beam_size=1, batch_token_budget=1024, max_output_length=8)
-        result = bench_throughput(model, records(5), cfg, warmup_batches=0,
-                                  clock=clock)
+        result = decode_corpus(model, records(5), cfg, warmup_batches=0,
+                               clock=clock)
         assert result.timed_seconds > 0
         want = result.output_tokens / result.timed_seconds
         assert result.tokens_per_second == pytest.approx(want)
@@ -115,15 +114,15 @@ class TestBench:
             lambda m, items, beam_size, max_len: [
                 BeamResult((), -1.0, -1.0, True) for _ in items])
         cfg = DecodeConfig(beam_size=1, batch_token_budget=1024, max_output_length=4)
-        result = bench_throughput(model, records(3), cfg, warmup_batches=0)
+        result = decode_corpus(model, records(3), cfg, warmup_batches=0)
         assert result.output_tokens == 0
         assert result.tokens_per_second == 0.0
 
     def test_warmup_excluded_from_timed_but_in_total(self, model):
         clock = FakeClock(step=1.0)
         cfg = DecodeConfig(beam_size=1, batch_token_budget=64, max_output_length=6)
-        result = bench_throughput(model, records(6), cfg, warmup_batches=1,
-                                  clock=clock)
+        result = decode_corpus(model, records(6), cfg, warmup_batches=1,
+                               clock=clock)
         assert result.total_seconds > result.timed_seconds
 
     def test_negative_warmup_rejected_before_any_decode(self, model, monkeypatch):
@@ -136,10 +135,6 @@ class TestBench:
         with pytest.raises(ValueError, match="warmup_batches"):
             decode_corpus(model, records(6), cfg, warmup_batches=-1)
         assert calls == []
-
-    def test_empty_testset_rejected(self, model):
-        with pytest.raises(ValueError):
-            bench_throughput(model, [], DecodeConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from minimt import __version__
 from minimt.checkpoint import load_checkpoint
 from minimt.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from minimt.reports import sha256_file
+from minimt.reports import EvalReport, sha256_file
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ class TestPruneQuantize:
         out = tmp_path / "pruned.ckpt"
         rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
                    str(data_dir / "dev.jsonl"), "--out", str(out),
-                   "--strategy", "middle", "--n", "1"])
+                   "--set", "prune.strategy=middle", "--set", "prune.n=1"])
         assert rc == EXIT_OK
         m = load_checkpoint(out)
         assert m.config.n_decoder_layers == 1
@@ -164,7 +164,7 @@ class TestPruneQuantize:
         out = tmp_path / "eight.ckpt"
         rc = main(["prune", "--ckpt", str(ckpt), "--dev",
                    str(data_dir / "dev.jsonl"), "--out", str(out),
-                   "--strategy", "middle", "--n", "4"])
+                   "--set", "prune.strategy=middle", "--set", "prune.n=4"])
         assert rc == EXIT_OK
         m = load_checkpoint(out)
         assert m.config.n_decoder_layers == 8
@@ -177,8 +177,8 @@ class TestPruneQuantize:
         out = tmp_path / "pruned.ckpt"
         rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
                    str(data_dir / "dev.jsonl"), "--out", str(out),
-                   "--strategy", "iterative", "--n", "1", "--side", "encoder+decoder",
-                   "--set", "prune.max_len=12"])
+                   "--set", "prune.strategy=iterative", "--set", "prune.n=1",
+                   "--set", "prune.sides=encoder+decoder", "--set", "prune.max_len=12"])
         assert rc == EXIT_OK
         manifest = json.loads((tmp_path / "pruned.ckpt.manifest.json").read_text())
         timings = manifest["timings"]
@@ -195,9 +195,23 @@ class TestPruneQuantize:
         rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
                    str(data_dir / "dev.jsonl"), "--out", str(out),
                    "--report", str(blocker / "report.json"),
-                   "--strategy", "middle", "--n", "1"])
+                   "--set", "prune.strategy=middle", "--set", "prune.n=1"])
         assert rc == EXIT_RUNTIME
         assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
+
+    def test_runs_that_differ_in_one_setting_get_different_run_ids(
+            self, tiny_ckpt, data_dir, tmp_path):
+        manifests = []
+        for n in (0, 1):
+            out = tmp_path / f"n{n}.ckpt"
+            rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
+                       str(data_dir / "dev.jsonl"), "--out", str(out),
+                       "--set", "prune.strategy=middle", "--set", f"prune.n={n}"])
+            assert rc == EXIT_OK
+            manifests.append(json.loads((tmp_path / f"n{n}.ckpt.manifest.json")
+                                        .read_text()))
+        assert [m["config"]["prune"]["n"] for m in manifests] == [0, 1]
+        assert manifests[0]["run_id"] != manifests[1]["run_id"]
 
     @pytest.mark.parametrize("setting", [
         "prune.max_len=0", "prune.importance_beam_size=0",
@@ -206,7 +220,7 @@ class TestPruneQuantize:
                                                   tmp_path, capsys, setting):
         rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
                    str(data_dir / "dev.jsonl"), "--out", str(tmp_path / "p.ckpt"),
-                   "--n", "1", "--set", setting])
+                   "--set", "prune.n=1", "--set", setting])
         assert rc == EXIT_USAGE
         assert list(tmp_path.iterdir()) == []
         err = json.loads(capsys.readouterr().err.strip())
@@ -235,13 +249,11 @@ class TestEvaluateBenchReport:
         out = tmp_path / "eval.json"
         rc = main(["evaluate", "--ckpt", str(tiny_ckpt), "--testset",
                    str(data_dir / "devtest.jsonl"), "--out", str(out),
-                   "--csv", str(tmp_path / "eval.csv"),
                    "--set", "decode.beam_size=1",
                    "--set", "decode.max_output_length=40"])
         assert rc == EXIT_OK
         obj = json.loads(out.read_text())
         assert obj["rows"] and obj["aggregates"]
-        assert (tmp_path / "eval.csv").read_text().startswith("kind,")
 
         chart = tmp_path / "chart.csv"
         rc = main(["report", "--in", str(out), "--chart", "quality-efficiency",
@@ -277,9 +289,19 @@ class TestEvaluateBenchReport:
               str(data_dir / "devtest.jsonl"), "--out", str(src),
               "--set", "decode.beam_size=1", "--set", "decode.max_output_length=20"])
         out = tmp_path / "conv.csv"
-        rc = main(["report", "--in", str(src), "--format", "csv", "--out", str(out)])
+        rc = main(["report", "--in", str(src), "--out", str(out)])
         assert rc == EXIT_OK
-        assert out.exists()
+        assert out.read_text() == EvalReport.from_json(src.read_text()).to_csv()
+
+    def test_empty_testset_is_a_config_error(self, tiny_ckpt, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        rc = main(["bench", "--ckpt", str(tiny_ckpt), "--testset", str(empty),
+                   "--out", str(tmp_path / "b.json")])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == [empty]
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "testset is empty" in err["message"]
 
 
 def _manifest_run(command, data, ckpt, out):
@@ -317,7 +339,7 @@ def _manifest_run(command, data, ckpt, out):
                 [out / "kd.jsonl"])
     if command == "prune":
         return (["--ckpt", ckpt, "--dev", data / "dev.jsonl", "--out", out / "p.ckpt",
-                 "--strategy", "middle", "--n", "1"],
+                 "--set", "prune.strategy=middle", "--set", "prune.n=1"],
                 [ckpt, data / "dev.jsonl"], out / "p.ckpt.manifest.json",
                 [out / "p.ckpt", out / "p.ckpt.prune_report.json"])
     if command == "quantize":
@@ -325,9 +347,9 @@ def _manifest_run(command, data, ckpt, out):
                 [ckpt], out / "q.ckpt.manifest.json", [out / "q.ckpt"])
     if command == "evaluate":
         return (["--ckpt", ckpt, "--testset", data / "devtest.jsonl",
-                 "--out", out / "e.json", "--csv", out / "e.csv", *decode],
+                 "--out", out / "e.json", *decode],
                 [ckpt, data / "devtest.jsonl"], out / "e.json.manifest.json",
-                [out / "e.json", out / "e.csv"])
+                [out / "e.json"])
     assert command == "bench"
     return (["--ckpt", ckpt, "--testset", data / "devtest.jsonl",
              "--out", out / "b.json", "--set", "repetitions=1", *decode],
@@ -452,6 +474,46 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and key in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, setting", [
+        ("gen-data", "train_sise=5"),
+        ("filter", "thresold=0.3"),
+        ("filter", "qe.midpont=-3"),
+        ("train", "sed=3"),
+        ("distill", "beam_size=1"),
+        ("prune", "n=1"),
+        ("evaluate", "beam_size=1"),
+        ("bench", "repetitons=1"),
+    ])
+    def test_key_nothing_reads_is_config_error(
+            self, tiny_ckpt, data_dir, tmp_path, capsys, command, setting):
+        out = tmp_path / "out"
+        argv, _, _, _ = _manifest_run(command, data_dir, tiny_ckpt, out)
+        rc = main([command, *map(str, argv), "--set", setting])
+        assert rc == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err.strip())
+        key = setting.split("=")[0].split(".")[-1]
+        assert err["error"] == "config" and f"'{key}'" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("prune", ["--n", "1"]),
+        ("prune", ["--strategy", "middle"]),
+        ("prune", ["--side", "decoder"]),
+        ("evaluate", ["--csv", "e.csv"]),
+    ])
+    def test_deleted_flags_are_usage_errors(self, tiny_ckpt, data_dir, tmp_path,
+                                            command, flag):
+        out = tmp_path / "out"
+        argv, _, _, _ = _manifest_run(command, data_dir, tiny_ckpt, out)
+        assert main([command, *map(str, argv), *flag]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_report_format_flag_is_a_usage_error(self, tmp_path):
+        rc = main(["report", "--in", str(tmp_path / "e.json"), "--format", "csv",
+                   "--out", str(tmp_path / "r.csv")])
+        assert rc == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_quantize_rejects_config_flags(self, tiny_ckpt, tmp_path):
         rc = main(["quantize", "--ckpt", str(tiny_ckpt), "--out", str(tmp_path / "q.ckpt"),

@@ -77,6 +77,13 @@ class TestConfig:
                                              r"\[\('bnu_Latn', 'anu_Latn'\)\]"):
             cfg(importance_directions=DIRS + (list(DIRS[1]),))
 
+    @pytest.mark.parametrize("directions", [
+        5, "anu_Latn", ["ab"], [[1, 2]], [("anu_Latn", "bnu_Latn", "cnu_Latn")]])
+    def test_rejects_directions_that_are_not_string_pairs(self, directions):
+        with pytest.raises(ValueError, match="importance_directions must be a "
+                                             "list of"):
+            cfg(importance_directions=directions)
+
     @pytest.mark.parametrize("n", [-1, 1.5, True, "2"])
     def test_layer_count_must_be_an_integer_at_least_zero(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 0"):

@@ -6,13 +6,10 @@ import stat
 
 import pytest
 
-from minimt.filtering import FilterConfig, ScorerSet, run_pipeline
-from minimt.corpus import ParallelRecord
 from minimt.reports import (
     EvalReport,
     EvalRow,
     RunManifest,
-    emit_report,
     publish,
     quality_efficiency_csv,
     sha256_file,
@@ -35,7 +32,6 @@ class TestEvalReport:
         aggs = {a["group"]: a for a in report.aggregates()}
         assert aggs["*-bnu_Latn"]["bleu"] == pytest.approx(50.0, abs=1e-12)
         assert aggs["overall"]["bleu"] == pytest.approx(110.0 / 3, abs=1e-12)
-        report.validate()
 
     def test_empty_report_csv_is_header_only(self):
         assert EvalReport().to_csv().strip().count("\n") == 0
@@ -53,32 +49,6 @@ class TestEvalReport:
                            ("chrf_pp", report.rows[0].chrf_pp)):
             assert float(data_row[col]) == pytest.approx(value, rel=1e-5)
             assert data_row[col] == format(value, ".6g")
-
-
-class TestEmit:
-    def test_eval_report_json_and_csv(self, tmp_path):
-        report = EvalReport(rows=[row()])
-        jp = emit_report(report, "json", tmp_path / "r.json")
-        cp = emit_report(report, "csv", tmp_path / "r.csv")
-        assert json.loads(open(jp).read())["rows"]
-        assert open(cp).read().startswith("kind,direction")
-
-    def test_filter_report_emission(self, tmp_path):
-        records = [ParallelRecord(src_lang="anu_Latn", tgt_lang="bnu_Latn",
-                                  src="zilo unat", tgt="nulo erin"),
-                   ParallelRecord(src_lang="anu_Latn", tgt_lang="bnu_Latn",
-                                  src="x", tgt="y")]
-        cfg = FilterConfig(stages_enabled={"language_detection": False,
-                                           "semantic": False,
-                                           "quality_estimation": False})
-        _, report = run_pipeline(records, cfg, ScorerSet())
-        path = emit_report(report, "csv", tmp_path / "f.csv")
-        text = open(path).read()
-        assert "rule_based" in text and "min_length=1" in text
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(EvalReport(), "xml", tmp_path / "x")
 
 
 def test_quality_efficiency_chart_csv():

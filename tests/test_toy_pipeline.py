@@ -6,7 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
-from minimt.bench import DecodeConfig, bench_throughput
+from minimt.bench import DecodeConfig, decode_corpus
 from minimt.compress import (
     DistillConfig,
     _dev_sets,
@@ -198,8 +198,8 @@ class TestThroughputStability:
         # the median of 5 runs, interleaved, as one ~0.2 s run mostly times
         # the scheduler
         for attempt in range(2):
-            runs = [[bench_throughput(toy_run.stage3, testset, cfg,
-                                      warmup_batches=1).tokens_per_second
+            runs = [[decode_corpus(toy_run.stage3, testset, cfg,
+                                   warmup_batches=1).tokens_per_second
                      for _side in "ab"] for _ in range(5)]
             a, b = (statistics.median(side) for side in zip(*runs))
             ratio = a / b
