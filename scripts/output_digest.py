@@ -18,6 +18,12 @@ embedding and QE score it computed (a score change that flips no threshold
 decision shows too), and train's optimizer steps, dev loss and the bytes of
 the trained weights. Timings are left out. Nothing is written inside the
 checkout.
+
+Last, one `importance` line per seed digests the float bytes of every
+score of compress.layer_importance_eval on the frozen model over the prune
+workload's dev sets, both sides at beam 3, which reaches the encoder-side
+candidates and the beam search over shared decoder trunks that prune's
+own decoder-only beam-1 pass does not.
 """
 
 from __future__ import annotations
@@ -111,6 +117,17 @@ def outputs(name: str, workload) -> list:
             float_digest(embeddings), float_digest(qe_scores)]
 
 
+def importance_digest(workload) -> str:
+    """sha256 over layer_importance_eval's scores of workload's model
+    (set up), both sides at beam 3, in key order."""
+    import workloads
+    from minimt import compress
+
+    scores = compress.layer_importance_eval(workload.model, ["encoder", "decoder"],
+                                            workload.dev_sets, 3, workloads.MAX_LEN)
+    return float_digest([[scores[key] for key in sorted(scores)]])
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", type=Path, help="root of a minimt checkout")
@@ -137,6 +154,10 @@ def main() -> int:
                 workload.setup(seed)
                 digest = hashlib.sha256(repr(outputs(name, workload)).encode())
                 print(f"{name} seed={seed} {digest.hexdigest()}", flush=True)
+        for seed in SEEDS:
+            workload = workloads.make("prune", workloads.FULL, Path(scratch))
+            workload.setup(seed)
+            print(f"importance seed={seed} {importance_digest(workload)}", flush=True)
     return 0
 
 

@@ -80,8 +80,10 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     """Decode a record list in token-budget batches. The first
     warmup_batches batches are decoded once untimed, one after another,
     then every batch is decoded inside the timed window, whole batches
-    spread over the CPUs by map_ordered (a row's output does not depend on
-    its batch, so neither does any byte of the run)."""
+    spread over the CPUs by map_ordered. A row's output depends on its
+    batch only through the batch's padded source width, and the batches
+    are a function of records and cfg, so the run's bytes do not depend
+    on how they are spread."""
     if warmup_batches < 0:
         raise ValueError(f"warmup_batches must be at least 0, got {warmup_batches}")
     clock = clock or time.monotonic

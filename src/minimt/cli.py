@@ -29,6 +29,8 @@ from . import __version__
 from .bench import DecodeConfig, decode_corpus
 from .checkpoint import checkpoint_bytes, load_checkpoint
 from .compress import (
+    STRATEGY_ITERATIVE,
+    STRATEGY_MIDDLE,
     DistillConfig,
     PruneConfig,
     PruneReport,
@@ -328,11 +330,19 @@ def cmd_distill(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg = load_config(args.config, args.set, ("prune",))
-    dev_records = _read(args.dev)
-    pc = _build(PruneConfig, {
-        "importance_directions": sorted({(r.src_lang, r.tgt_lang)
-                                         for r in dev_records}),
-        **_section(cfg, "prune")}, "prune")
+    section = _section(cfg, "prune")
+    # only iterative pruning scores candidates on dev data
+    strategy = section.get("strategy", PruneConfig.strategy)
+    if strategy == STRATEGY_ITERATIVE and args.dev is None:
+        raise ConfigError("prune.strategy=iterative needs --dev")
+    if strategy == STRATEGY_MIDDLE and args.dev is not None:
+        raise ConfigError("prune.strategy=middle reads no dev file; drop --dev")
+    dev_records, defaults = None, {}
+    if args.dev is not None:
+        dev_records = _read(args.dev)
+        defaults["importance_directions"] = sorted({(r.src_lang, r.tgt_lang)
+                                                    for r in dev_records})
+    pc = _build(PruneConfig, {**defaults, **section}, "prune")
 
     model = load_checkpoint(args.ckpt)
     timings: dict = {}
@@ -345,7 +355,7 @@ def cmd_prune(args) -> int:
         return scores
 
     def work():
-        if pc.strategy == "iterative":
+        if pc.strategy == STRATEGY_ITERATIVE:
             pruned, report = iterative_prune(model, pc, dev_records,
                                              importance_fn=timed_importance)
         else:
@@ -354,7 +364,7 @@ def cmd_prune(args) -> int:
         return {args.out: checkpoint_bytes(pruned),
                 args.report or args.out + ".prune_report.json": report.to_json()}
 
-    return _run("prune", cfg, None, [args.ckpt, args.dev],
+    return _run("prune", cfg, None, [args.ckpt] + ([args.dev] if args.dev else []),
                 args.out + ".manifest.json", work, timings)
 
 
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prune", help="layer-prune a checkpoint")
     common(sp)
     sp.add_argument("--ckpt", required=True)
-    sp.add_argument("--dev", required=True)
+    sp.add_argument("--dev", help="dev corpus (iterative strategy only)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--report")
     sp.set_defaults(func=cmd_prune)

@@ -23,7 +23,7 @@ from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
 from .decode import removal_translator, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
-from .metrics import chrf_pp
+from .metrics import chrf_from_statistics, chrf_pp, chrf_statistics
 from .model import (DECODER, ENCODER, TranslationModel, check_counts, quantize_fp16,
                     remove_layers)
 from .parallel import map_ordered
@@ -58,8 +58,9 @@ class PruneConfig:
                 and all(isinstance(lang, str) for lang in d) for d in directions):
             raise ValueError("importance_directions must be a list of [src, tgt] "
                              f"string pairs, got {directions!r}")
-        if not directions:
-            raise ValueError("importance_directions must be nonempty")
+        if not directions and self.strategy == STRATEGY_ITERATIVE:
+            raise ValueError("importance_directions must be nonempty for the "
+                             "iterative strategy")
         directions = [tuple(d) for d in directions]
         repeated = sorted({d for d in directions if directions.count(d) > 1})
         if repeated:
@@ -195,10 +196,22 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
             items += [(side, d, range(b * n // per_direction, (b + 1) * n // per_direction))
                       for b in range(per_direction)]
 
+    # chrf_statistics once per distinct (hypothesis, reference) pair in a
+    # process: candidates often decode a source alike, and the integer sums
+    # are exact, so each score is chrf_pp's
+    pair_stats = {}
+
     def score(item):
         side, d, layers = item
         refs = [r.tgt for r in dev_sets[d]]
-        return [chrf_pp(hyps, refs).value for hyps in translators[side, d](layers)]
+        values = []
+        for hyps in translators[side, d](layers):
+            for pair in zip(hyps, refs):
+                if pair not in pair_stats:
+                    pair_stats[pair] = chrf_statistics(*pair)
+            totals = [sum(c) for c in zip(*(pair_stats[pair] for pair in zip(hyps, refs)))]
+            values.append(chrf_from_statistics(totals, len(refs)).value)
+        return values
 
     chrfs = {}
     for (side, _, layers), values in zip(items, map_ordered(score, items)):

@@ -2,7 +2,8 @@
 per-layer KV cache, both running model.py's layer functions on float32
 arrays, plus batched greedy/beam decoding with fully deterministic
 tie-breaks. The incremental decoder also decodes every removal of one
-layer in one batch (prune's importance pass).
+layer in one batch (prune's importance pass), running the layers the
+candidates share once per distinct token history.
 
 Scoring: a hypothesis is ranked by cumulative log-probability during search
 and by length-normalized score (logprob / length) at the end, where length
@@ -34,10 +35,10 @@ from .model import (
     decoder_layer,
     embed,
     encode_batch,
+    encoder_layer,
     key_values,
     output_logits,
     pad_bias,
-    remove_layers,
     source_batch,
 )
 from .parallel import map_ordered
@@ -148,6 +149,121 @@ def _encode(model: TranslationModel, sources) -> tuple[np.ndarray, np.ndarray]:
     return encode_np(compute_params(model), model.config, src_ids, src_len)
 
 
+class _Run:
+    """Neighbouring groups g0 .. g1 - 1 of a stepper that run one decoder
+    layer at one depth: one decoder_layer call over their rows, with a
+    self-attention cache and cross K/V rows of its own.
+
+    In a stepper of two or more groups, a run keeps these per class: rows of
+    one source with one token history, in groups that ran the same layers at
+    every depth so far, hold equal states and caches, so the run computes
+    one row per class and copies it to the class's rows. cls is each row's
+    class and rep a row of each class; the cross rows live in the leading
+    rows of buffers, which have a row per run row. A removal plan's trunk,
+    the candidates j > l that run the parent's layer l at depth l, thus runs
+    once per distinct history, and a sample's beam slots run once while
+    they agree."""
+
+    def __init__(self, g0: int, g1: int, layer: int, cross: list, src: np.ndarray,
+                 owner: np.ndarray | None):
+        """cross holds the layer's cross K/V per source and src each row's
+        source. owner is each row's first group in the run with the same
+        plan so far, or None for a run without classes."""
+        self.g0, self.g1, self.layer = g0, g1, layer
+        self.classes = owner is not None
+        if self.classes:
+            # each (owner, source) starts a class: all its rows hold the
+            # [tgt tag, bos] prefix
+            n = len(cross[0])
+            key = owner * n + src
+            present = np.zeros((int(owner.max()) + 1) * n, dtype=bool)
+            present[key] = True
+            self.cls = (np.cumsum(present) - 1)[key]
+            self.rep = np.empty(int(present.sum()), dtype=np.int64)
+            self.rep[self.cls] = np.arange(len(key))
+            first = np.flatnonzero(present) % n
+            self.buffers = [np.empty((len(src), *a.shape[1:]), dtype=a.dtype) for a in cross]
+            for b, a in zip(self.buffers, cross):
+                b[:len(first)] = a[first]
+            self.cross = [b[:len(first)] for b in self.buffers]
+            # the rows of the previous step each row continues; None when
+            # they are the same rows
+            self.parents = None
+        else:
+            self.cross = [a[src] for a in cross]
+        k = self.cross[0]
+        self.cache = [np.zeros((len(k), k.shape[1], 0, k.shape[3]), dtype=k.dtype)
+                      for _ in range(2)]
+
+    def regroup(self, tok: np.ndarray) -> None:
+        """The classes once the run's rows take tok: a row's new class is
+        (its parent row's class, its token). A class keeps its slot while
+        any of its rows go on; the classes split off from it, and the
+        classes left beyond the new class count, take the slots of classes
+        whose rows all left. So a step copies cache and cross rows only for
+        the classes that changed."""
+        n_old = len(self.cross[0])
+        if self.parents is None:
+            # with the same rows, classes of one row each cannot split
+            if n_old == len(self.cls) or (tok[self.rep][self.cls] == tok).all():
+                return
+            parent, rep = self.cls, self.rep
+        else:
+            parent = self.cls[self.parents]
+            rep = np.empty(n_old, dtype=np.int64)
+            rep[parent] = np.arange(len(parent))
+        alive = np.zeros(n_old, dtype=bool)
+        if (tok[rep[parent]] == tok).all():
+            # no class splits
+            alive[parent] = True
+            split_from = parent[:0]
+        else:
+            order = np.lexsort((tok, parent))
+            p, t = parent[order], tok[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
+            # each new class's parent class; the first of each keeps its slot
+            of = p[first]
+            keeps = np.ones(len(of), dtype=bool)
+            keeps[1:] = of[1:] != of[:-1]
+            alive[of] = True
+            split_from = of[~keeps]
+        self.parents = None
+
+        m = int(alive.sum()) + len(split_from)
+        movers = np.flatnonzero(alive[m:]) + m
+        targets = np.concatenate([np.flatnonzero(~alive[:m]), np.arange(n_old, m)])
+        sources = np.concatenate([movers, split_from])
+        slot = np.arange(n_old)
+        slot[movers] = targets[:len(movers)]
+        if not len(split_from):
+            self.cls = slot[parent]
+            old = np.flatnonzero(alive)
+            self.rep = np.empty(m, dtype=np.int64)
+            self.rep[slot[old]] = rep[old]
+        else:
+            new_slot = np.empty(len(of), dtype=np.int64)
+            new_slot[keeps] = slot[of[keeps]]
+            new_slot[~keeps] = targets[len(movers):]
+            self.cls = np.empty_like(parent)
+            self.cls[order] = new_slot[np.cumsum(first) - 1]
+            self.rep = np.empty(m, dtype=np.int64)
+            self.rep[new_slot] = order[first]
+
+        if len(targets):
+            for b in self.buffers:
+                b[targets] = b[sources]
+            if m > n_old:
+                take = np.arange(m)
+                take[targets] = sources
+                self.cache = [a[take] for a in self.cache]
+            else:
+                for a in self.cache:
+                    a[targets] = a[sources]
+        self.cache = [a[:m] for a in self.cache]
+        self.cross = [b[:m] for b in self.buffers]
+
+
 class _ModelStepper:
     """Row-parallel incremental decoder over n sources, given their
     encoding (encode_np's enc and bias), under a layer plan: an int array
@@ -158,10 +274,18 @@ class _ModelStepper:
     default plan, one group running layer l at depth l, is the model as it
     is; a group planned [0, .., j - 1, j + 1, ..] decodes like the model
     without decoder layer j. At each depth, neighbouring groups that run
-    one layer form a run: one decoder_layer call over its rows, with a
-    self-attention cache of its own. reorder may drop rows; every new row
-    continues a row of its own sample, in sample order. Holds precomputed
-    cross K/V per row of every layer the plan runs."""
+    one layer form a _Run: one decoder_layer call, with a self-attention
+    cache and cross K/V rows of its own. In a stepper of two or more groups
+    a run computes one row per class of its rows, rows of one source and
+    one token history in groups planned alike so far. Under a removal plan
+    the trunk at depth l, the candidates j > l that run the parent's layer
+    l, so runs once per distinct history where each candidate's row used
+    to run it; the default plan keeps no classes. Every row shares one
+    padded source width and every op is row-wise, so a class's row has the
+    bytes each of its rows would have (in a batch of another padded width a
+    row's bytes can differ). reorder may drop rows; every new row continues
+    a row of its own sample, in sample order, and no sample has more rows
+    than it started with."""
 
     def __init__(self, model: TranslationModel, tgt_langs, encoding,
                  beam_size: int, plan: np.ndarray | None = None):
@@ -174,27 +298,36 @@ class _ModelStepper:
 
         h = self.config.n_heads
         src_of_row = np.tile(np.repeat(np.arange(self.n_sources), beam_size), groups)
-        # gathered from C-order copies, as np.repeat would give them: a
-        # gather keeps split_heads' transposed order, which rounds the
-        # attention differently
-        self.cross_kvs = {
-            i: [np.ascontiguousarray(a)[src_of_row]
-                for a in key_values(self.w, f"dec.{i}.cross", enc, h)]
-            for i in set(plan.ravel().tolist())}
-        self.cross_bias = bias[src_of_row]
         self.sample_of_row = np.repeat(np.arange(groups * self.n_sources), beam_size)
         self.bounds = self._group_bounds(self.sample_of_row, groups)
-
-        # each depth's runs, as (first group, end group, layer)
+        self.cross_bias = bias[src_of_row]
+        # each depth's runs; a layer's cross K/V per source are held until
+        # its last depth. Rows are gathered from C-order copies, as
+        # np.repeat would give them: a gather keeps split_heads' transposed
+        # order, which rounds the attention differently
+        last_depth = {layer: depth for depth, layers in enumerate(plan.T.tolist())
+                      for layer in layers}
+        cross = {}
         self.runs = []
-        for layers in plan.T.tolist():
+        for depth, layers in enumerate(plan.T.tolist()):
             starts = [g for g in range(groups) if g == 0 or layers[g] != layers[g - 1]]
-            self.runs.append([(g0, g1, layers[g0])
-                              for g0, g1 in zip(starts, starts[1:] + [groups])])
-        empty = np.zeros((len(src_of_row), h, 0, self.config.d_model // h),
-                         dtype=np.float32)
-        self.caches = [[[empty[self.bounds[g0]: self.bounds[g1]]] * 2
-                        for g0, g1, _ in runs] for runs in self.runs]
+            runs = []
+            for g0, g1 in zip(starts, starts[1:] + [groups]):
+                layer = layers[g0]
+                if layer not in cross:
+                    cross[layer] = [np.ascontiguousarray(a) for a in
+                                    key_values(self.w, f"dec.{layer}.cross", enc, h)]
+                owner = None
+                if groups > 1:
+                    prefixes = plan[g0:g1, :depth + 1].tolist()
+                    owner = np.repeat([prefixes.index(p) for p in prefixes],
+                                      self.n_sources * beam_size)
+                runs.append(_Run(g0, g1, layer, cross[layer],
+                                 src_of_row[self.bounds[g0]: self.bounds[g1]], owner))
+            self.runs.append(runs)
+            for layer in set(layers):
+                if last_depth[layer] == depth:
+                    del cross[layer]
 
         # prime with the forced [tgt tag, bos] prefix (positions 0 and 1)
         tags = np.tile(np.repeat([model.vocab.lang_tag(t) for t in tgt_langs],
@@ -217,16 +350,22 @@ class _ModelStepper:
             return
         sample_of_row = self.sample_of_row[parent_rows]
         bounds = self._group_bounds(sample_of_row, len(self.bounds) - 1)
-        for runs, caches in zip(self.runs, self.caches):
-            for (g0, g1, _), cache in zip(runs, caches):
-                rows = parent_rows[bounds[g0]: bounds[g1]] - self.bounds[g0]
-                cache[:] = [a[rows] for a in cache]
+        plain = []
+        for run in (run for runs in self.runs for run in runs):
+            rows = parent_rows[bounds[run.g0]: bounds[run.g1]] - self.bounds[run.g0]
+            if not run.classes:
+                run.cache = [a[rows] for a in run.cache]
+                plain.append((run, rows))
+            elif len(rows) != len(run.cls) or (rows != np.arange(len(rows))).any():
+                run.parents = rows if run.parents is None else run.parents[rows]
+        # a row's cross rows are its sample's, so they change only when
+        # samples leave; gathered after the caches shrank, which keeps the
+        # peak lower
         if not np.array_equal(sample_of_row, self.sample_of_row):
-            for kv in self.cross_kvs.values():
-                kv[:] = [a[parent_rows] for a in kv]
+            for run, rows in plain:
+                run.cross = [a[rows] for a in run.cross]
             self.cross_bias = self.cross_bias[parent_rows]
-            self.sample_of_row = sample_of_row
-            self.bounds = bounds
+        self.sample_of_row, self.bounds = sample_of_row, bounds
 
     def advance(self, token_ids: np.ndarray, gen_index: int) -> np.ndarray:
         """Feed the tokens generated at step gen_index (decoder position
@@ -236,15 +375,18 @@ class _ModelStepper:
     def _states(self, ids: np.ndarray, position: int) -> np.ndarray:
         w, h = self.w, self.config.n_heads
         x = embed(w, self.config, ids[:, None], position)
-        for runs, caches in zip(self.runs, self.caches):
+        for runs in self.runs:
             parts = []
-            for (g0, g1, layer), cache in zip(runs, caches):
+            for run in runs:
                 # a run whose rows have all left still runs, on zero rows,
                 # so that every cache advances a step
-                rows = slice(self.bounds[g0], self.bounds[g1])
-                parts.append(decoder_layer(
-                    w, layer, x[rows], None, [a[rows] for a in self.cross_kvs[layer]],
-                    self.cross_bias[rows], h, cache))
+                rows = slice(self.bounds[run.g0], self.bounds[run.g1])
+                xs, bias = x[rows], self.cross_bias[rows]
+                if run.classes:
+                    run.regroup(ids[rows])
+                    xs, bias = xs[run.rep], bias[run.rep]
+                out = decoder_layer(w, run.layer, xs, None, run.cross, bias, h, run.cache)
+                parts.append(out[run.cls] if run.classes else out)
             x = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return layer_norm(x, w["dec.final_ln.g"], w["dec.final_ln.b"])
 
@@ -467,6 +609,16 @@ def translate_records(model: TranslationModel, records, beam_size: int = 3,
         beam_size, max_len), model.vocab)
 
 
+def _encoder_stack(w: dict, config, x: np.ndarray, bias: np.ndarray, layers) -> np.ndarray:
+    """x (N, Ts, d) through the given encoder layers, ROW_CHUNK rows at a
+    time."""
+    def run(x, bias):
+        for i in layers:
+            x = encoder_layer(w, i, x, bias, config.n_heads)
+        return x
+    return _by_row_chunks(run, x, bias)
+
+
 def removal_translator(model: TranslationModel, side: str,
                        sources: list[tuple[str, str, str]], beam_size: int, max_len: int):
     """Return translate(layers): for each layer j of side in layers (a
@@ -474,24 +626,40 @@ def removal_translator(model: TranslationModel, side: str,
     batch of (src_text, src_lang, tgt_lang) triples, as translate_records
     gives them, all decoded in one stepper. The decoder side encodes the
     sources once, here: at depth l the candidates j <= l run layer l + 1
-    and the others layer l, two runs of rows. The encoder side encodes them
-    once per candidate, in translate, for the model's own decoder.
-    translate may run in a forked worker."""
+    and the others layer l, the parent's trunk, which the stepper runs once
+    per distinct token history. The encoder side runs the parent's encoder
+    once, here, keeping each layer's input; candidate j's encoding is
+    layers j + 1 .. applied to layer j's input, then the final layer norm,
+    decoded with the model's own decoder. translate may run in a forked
+    worker."""
     if side not in (ENCODER, DECODER):
         raise ValueError(f"side must be '{ENCODER}' or '{DECODER}', got {side!r}")
     tgt_langs = [t for _, _, t in sources]
+    config = model.config
     if side == DECODER:
         encoding = _encode(model, sources)
-        depths = np.arange(model.config.n_decoder_layers - 1)
+        depths = np.arange(config.n_decoder_layers - 1)
+    else:
+        w = compute_params(model)
+        src_ids, src_len = source_batch(
+            model.vocab, [(text, sl) for text, sl, _ in sources], config.max_positions)
+        bias = pad_bias(src_len, src_ids.shape[1])
+        inputs = [embed(w, config, src_ids)]
+        for i in range(config.n_encoder_layers - 1):
+            inputs.append(_encoder_stack(w, config, inputs[-1], bias, [i]))
 
     def translate(layers) -> list[list[str]]:
         if side == DECODER:
             stepper = _ModelStepper(model, tgt_langs, encoding, beam_size,
                                     depths + (depths >= np.asarray(layers)[:, None]))
         else:
-            encodings = [_encode(remove_layers(model, ENCODER, {j}), sources) for j in layers]
+            encodings = [layer_norm(_encoder_stack(w, config, inputs[j], bias,
+                                                   range(j + 1, config.n_encoder_layers)),
+                                    w["enc.final_ln.g"], w["enc.final_ln.b"])
+                         for j in layers]
             stepper = _ModelStepper(model, tgt_langs * len(layers),
-                                    [np.concatenate(a) for a in zip(*encodings)], beam_size)
+                                    (np.concatenate(encodings),
+                                     np.concatenate([bias] * len(layers))), beam_size)
         hyps = _hypotheses(_search(model, stepper, len(layers) * len(sources),
                                    beam_size, max_len), model.vocab)
         return [hyps[i: i + len(sources)] for i in range(0, len(hyps), len(sources))]

@@ -207,8 +207,9 @@ class PivotTranslationEmbedder:
 
     def embed_batch(self, texts: list[str], langs: list[str]) -> list[np.ndarray]:
         """One profile per text. The texts not in the pivot language are
-        decoded at beam 1 in SEMANTIC_TOKEN_BUDGET batches by decode_corpus
-        (a row's output does not depend on its batch)."""
+        decoded at beam 1 in SEMANTIC_TOKEN_BUDGET batches by decode_corpus.
+        A translation depends on its batch only through the batch's padded
+        source width, which the texts and their order fix."""
         from .bench import DecodeConfig, decode_corpus
 
         # pivot-language text is its own pivot translation

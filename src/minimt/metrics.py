@@ -68,35 +68,35 @@ def _check_parallel(hypotheses, references):
         raise ValueError("empty corpus")
 
 
-def chrf_pp(hypotheses: list[str], references: list[str]) -> MetricScore:
-    """Corpus chrF++: order-averaged precision/recall over character and word
-    n-grams, combined with F_beta. Orders with zero reference mass are
-    excluded from the averages."""
-    _check_parallel(hypotheses, references)
+def chrf_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
+    """One sentence pair's chrF++ counts: hypothesis n-grams, reference
+    n-grams and matches, each for the character orders then the word
+    orders. Integer counts, so their sums over a corpus are exact in any
+    order."""
+    hyp_chars, ref_chars = _strip_ws(hypothesis), _strip_ws(reference)
+    hyp_words = tokenize_for_bleu(hypothesis)
+    ref_words = tokenize_for_bleu(reference)
+    orders = ([(hyp_chars, ref_chars, n) for n in range(1, CHRF_CHAR_ORDER + 1)]
+              + [(hyp_words, ref_words, n) for n in range(1, CHRF_WORD_ORDER + 1)])
+    hyp_tot, ref_tot, match_tot = [], [], []
+    for hyp_items, ref_items, n in orders:
+        hc = _ngram_counts(hyp_items, n)
+        rc = _ngram_counts(ref_items, n)
+        hyp_tot.append(sum(hc.values()))
+        ref_tot.append(sum(rc.values()))
+        match_tot.append(sum((hc & rc).values()))
+    return (*hyp_tot, *ref_tot, *match_tot)
 
+
+def chrf_from_statistics(totals, segment_count: int) -> MetricScore:
+    """Corpus chrF++ from chrf_statistics summed over the corpus'
+    segment_count sentence pairs: order-averaged precision/recall over
+    character and word n-grams, combined with F_beta. Orders with zero
+    reference mass are excluded from the averages."""
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
-    hyp_tot = [0] * n_orders
-    ref_tot = [0] * n_orders
-    match_tot = [0] * n_orders
-
-    for hyp, ref in zip(hypotheses, references):
-        hyp_chars, ref_chars = _strip_ws(hyp), _strip_ws(ref)
-        hyp_words = tokenize_for_bleu(hyp)
-        ref_words = tokenize_for_bleu(ref)
-        for n in range(1, CHRF_CHAR_ORDER + 1):
-            hc = _ngram_counts(hyp_chars, n)
-            rc = _ngram_counts(ref_chars, n)
-            i = n - 1
-            hyp_tot[i] += sum(hc.values())
-            ref_tot[i] += sum(rc.values())
-            match_tot[i] += sum((hc & rc).values())
-        for n in range(1, CHRF_WORD_ORDER + 1):
-            hc = _ngram_counts(hyp_words, n)
-            rc = _ngram_counts(ref_words, n)
-            i = CHRF_CHAR_ORDER + n - 1
-            hyp_tot[i] += sum(hc.values())
-            ref_tot[i] += sum(rc.values())
-            match_tot[i] += sum((hc & rc).values())
+    hyp_tot = totals[:n_orders]
+    ref_tot = totals[n_orders: 2 * n_orders]
+    match_tot = totals[2 * n_orders:]
 
     precisions = []
     recalls = []
@@ -116,7 +116,14 @@ def chrf_pp(hypotheses: list[str], references: list[str]) -> MetricScore:
         else:
             b2 = CHRF_BETA * CHRF_BETA
             value = 100.0 * (1 + b2) * p * r / (b2 * p + r)
-    return MetricScore(value, "chrf++", len(hypotheses))
+    return MetricScore(value, "chrf++", segment_count)
+
+
+def chrf_pp(hypotheses: list[str], references: list[str]) -> MetricScore:
+    """Corpus chrF++ (chrf_from_statistics of the summed chrf_statistics)."""
+    _check_parallel(hypotheses, references)
+    stats = [chrf_statistics(h, r) for h, r in zip(hypotheses, references)]
+    return chrf_from_statistics([sum(c) for c in zip(*stats)], len(hypotheses))
 
 
 def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:

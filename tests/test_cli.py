@@ -134,17 +134,39 @@ class TestFilter:
 
 
 class TestPruneQuantize:
-    def test_middle_prune_cli(self, tiny_ckpt, data_dir, tmp_path):
+    def test_middle_prune_cli(self, tiny_ckpt, tmp_path):
         out = tmp_path / "pruned.ckpt"
-        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
-                   str(data_dir / "dev.jsonl"), "--out", str(out),
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--out", str(out),
                    "--set", "prune.strategy=middle", "--set", "prune.n=1"])
         assert rc == EXIT_OK
         m = load_checkpoint(out)
         assert m.config.n_decoder_layers == 1
         assert (tmp_path / "pruned.ckpt.prune_report.json").exists()
 
-    def test_middle_prune_four_of_twelve_decoder_layers(self, data_dir, tmp_path):
+    def test_middle_prune_reads_no_dev_file(self, tiny_ckpt, tmp_path):
+        out = tmp_path / "pruned.ckpt"
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--out", str(out),
+                   "--set", "prune.strategy=middle", "--set", "prune.n=1"])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "pruned.ckpt.manifest.json").read_text())
+        assert manifest["inputs"] == {str(tiny_ckpt): sha256_file(tiny_ckpt)}
+
+    @pytest.mark.parametrize("strategy, dev", [("middle", True), ("iterative", False)])
+    def test_dev_file_only_with_the_iterative_strategy(self, tiny_ckpt, data_dir, tmp_path,
+                                                       capsys, strategy, dev):
+        """--dev with middle pruning, which reads no dev file, and iterative
+        pruning without it are config errors that write nothing."""
+        out = tmp_path / "out"
+        argv = ["prune", "--ckpt", str(tiny_ckpt), "--out", str(out / "p.ckpt"),
+                "--set", f"prune.strategy={strategy}", "--set", "prune.n=1"]
+        if dev:
+            argv += ["--dev", str(data_dir / "dev.jsonl")]
+        assert main(argv) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "--dev" in err["message"]
+        assert not out.exists()
+
+    def test_middle_prune_four_of_twelve_decoder_layers(self, tmp_path):
         # untrained 12-decoder-layer checkpoint: middle pruning needs no dev
         # quality, so surgery alone is exercised through the CLI
         from minimt.model import ModelConfig, init_model
@@ -162,8 +184,7 @@ class TestPruneQuantize:
         save_checkpoint(init_model(cfg, vocab, Rng(0)), ckpt)
 
         out = tmp_path / "eight.ckpt"
-        rc = main(["prune", "--ckpt", str(ckpt), "--dev",
-                   str(data_dir / "dev.jsonl"), "--out", str(out),
+        rc = main(["prune", "--ckpt", str(ckpt), "--out", str(out),
                    "--set", "prune.strategy=middle", "--set", "prune.n=4"])
         assert rc == EXIT_OK
         m = load_checkpoint(out)
@@ -188,24 +209,22 @@ class TestPruneQuantize:
         report = json.loads((tmp_path / "pruned.ckpt.prune_report.json").read_text())
         assert "seconds" not in json.dumps(report)
 
-    def test_unwritable_report_publishes_nothing(self, tiny_ckpt, data_dir, tmp_path):
+    def test_unwritable_report_publishes_nothing(self, tiny_ckpt, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         out = tmp_path / "pruned.ckpt"
-        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
-                   str(data_dir / "dev.jsonl"), "--out", str(out),
+        rc = main(["prune", "--ckpt", str(tiny_ckpt), "--out", str(out),
                    "--report", str(blocker / "report.json"),
                    "--set", "prune.strategy=middle", "--set", "prune.n=1"])
         assert rc == EXIT_RUNTIME
         assert sorted(p.name for p in tmp_path.iterdir()) == ["not-a-dir"]
 
     def test_runs_that_differ_in_one_setting_get_different_run_ids(
-            self, tiny_ckpt, data_dir, tmp_path):
+            self, tiny_ckpt, tmp_path):
         manifests = []
         for n in (0, 1):
             out = tmp_path / f"n{n}.ckpt"
-            rc = main(["prune", "--ckpt", str(tiny_ckpt), "--dev",
-                       str(data_dir / "dev.jsonl"), "--out", str(out),
+            rc = main(["prune", "--ckpt", str(tiny_ckpt), "--out", str(out),
                        "--set", "prune.strategy=middle", "--set", f"prune.n={n}"])
             assert rc == EXIT_OK
             manifests.append(json.loads((tmp_path / f"n{n}.ckpt.manifest.json")
@@ -338,9 +357,9 @@ def _manifest_run(command, data, ckpt, out):
                 [ckpt, data / "devtest.jsonl"], out / "kd.jsonl.manifest.json",
                 [out / "kd.jsonl"])
     if command == "prune":
-        return (["--ckpt", ckpt, "--dev", data / "dev.jsonl", "--out", out / "p.ckpt",
+        return (["--ckpt", ckpt, "--out", out / "p.ckpt",
                  "--set", "prune.strategy=middle", "--set", "prune.n=1"],
-                [ckpt, data / "dev.jsonl"], out / "p.ckpt.manifest.json",
+                [ckpt], out / "p.ckpt.manifest.json",
                 [out / "p.ckpt", out / "p.ckpt.prune_report.json"])
     if command == "quantize":
         return (["--ckpt", ckpt, "--out", out / "q.ckpt"],

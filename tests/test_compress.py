@@ -21,7 +21,6 @@ from minimt.compress import (
 )
 from minimt.corpus import ParallelRecord, SplitSpec
 from minimt.decode import translate_records
-from minimt.metrics import chrf_pp
 from minimt.model import ModelConfig, init_model, remove_layers
 from minimt.rng import Rng
 from minimt.synthetic import NoiseRates, ToyLanguageSpec, generate_synthetic_corpus
@@ -56,6 +55,9 @@ class TestConfig:
     def test_requires_directions(self):
         with pytest.raises(ValueError):
             PruneConfig(n=2)
+
+    def test_middle_strategy_needs_no_directions(self):
+        assert PruneConfig(n=2, strategy="middle").importance_directions == ()
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -176,18 +178,25 @@ class TestLayerImportance:
         hyps = []
         use_cpus(1)     # a worker's recorded calls stay in it
 
-        def recording_chrf(hypotheses, references):
-            hyps.append(hypotheses)
-            return chrf_pp(hypotheses, references)
+        removal_translator = compress_mod.removal_translator
 
-        monkeypatch.setattr(compress_mod, "chrf_pp", recording_chrf)
+        def recording_translator(*args):
+            translate = removal_translator(*args)
+
+            def recording(layers):
+                out = translate(layers)
+                hyps.extend(out)
+                return out
+            return recording
+
+        monkeypatch.setattr(compress_mod, "removal_translator", recording_translator)
         scores = layer_importance_eval(model, ["encoder", "decoder"], dev_sets,
                                        beam_size=1, max_len=40)
         monkeypatch.undo()
         assert len(scores) == 2 + 4
         # the untrained model's scores are near 0, so compare the
-        # hypotheses too: one chrF++ call per candidate and direction, side
-        # by side, then direction by direction
+        # hypotheses too: one list per candidate and direction, side by
+        # side, then direction by direction
         assert any(h for hs in hyps for h in hs)
         oracle_hyps = {}
         for (side, idx), score in scores.items():
@@ -201,7 +210,7 @@ class TestLayerImportance:
                         for i in range(len(dev_sets)) for idx in range(n)]
 
     @pytest.mark.parametrize("sides, encodes_per_direction", [
-        (["decoder"], 1), (["encoder", "decoder"], 2 + 1)])
+        (["decoder"], 1), (["encoder", "decoder"], 1)])
     def test_decoder_candidates_share_one_encode_per_direction(
             self, setup, monkeypatch, use_cpus, sides, encodes_per_direction):
         import minimt.decode as decode_mod
@@ -219,6 +228,8 @@ class TestLayerImportance:
 
         monkeypatch.setattr(decode_mod, "encode_np", counting_encode_np)
         layer_importance_eval(model, sides, dev_sets, beam_size=1, max_len=40)
+        # the encoder side branches from the parent's encoder layers, run
+        # once per direction without encode_np
         assert len(calls) == encodes_per_direction * len(dev_sets)
 
     def test_parallel_scores_equal_serial(self, setup, use_cpus):

@@ -39,6 +39,7 @@ from minimt.vocab import build_vocab
 
 from .gradcheck import FakeRecord
 from .oracles.beam_reference import _beam_loop
+from .oracles.stepper_reference import ReferenceStepper
 
 
 @pytest.fixture(scope="module")
@@ -580,6 +581,109 @@ def test_layer_plan_stepper_matches_a_stepper_per_removal(beam_size, seed):
             assert np.array_equal(got[i * beam_size: (i + 1) * beam_size],
                                   want[j][rank * beam_size: (rank + 1) * beam_size]), \
                 (position, j, s)
+
+
+def _removal_plan(n_dec: int, layers) -> np.ndarray:
+    depths = np.arange(n_dec - 1)
+    return depths + (depths >= np.asarray(layers)[:, None])
+
+
+@pytest.mark.parametrize("beam_size", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stepper_equals_the_unshared_reference(beam_size, seed):
+    """The stepper gives the logits of the unshared reference stepper
+    (tests/oracles/stepper_reference.py), byte for byte, at every step,
+    under the default plan and under removal plans of every candidate and
+    of a block of them. Between steps each row continues a random row of
+    its own sample, samples leave at random, and at one step a whole
+    candidate leaves, the one at the boundary between a depth's tail and
+    trunk. Each source mostly feeds one token to all its rows, so that the
+    candidates' histories agree for a while and then split."""
+    n_dec = 5
+    model = _tiny_models(2, n_dec, 2, 16, seed)[0]
+    records = _records([("abc fed", "", "anu_Latn"), ("a", "", "bnu_Latn"),
+                        ("fed cab ad", "", "anu_Latn"), ("dab", "", "bnu_Latn")])
+    sources = [(r.src, r.src_lang, r.tgt_lang) for r in records]
+    tgt_langs = [r.tgt_lang for r in records]
+    encoding = _encode(model, sources)
+    n, k = len(sources), beam_size
+    for layers in (None, range(n_dec), range(1, 4)):
+        plan = None if layers is None else _removal_plan(n_dec, layers)
+        groups = 1 if plan is None else len(plan)
+        rng = np.random.default_rng(seed)
+        got = _ModelStepper(model, tgt_langs, encoding, k, plan)
+        want = ReferenceStepper(model, tgt_langs, encoding, k, plan)
+        assert np.array_equal(got.prime_logits(), want.prime_logits())
+        live = np.arange(groups * n)    # the stepper's samples, g * n + s
+        for step in range(model.config.max_positions - 2):
+            stay = rng.random(len(live)) >= 0.15
+            if step == 3:
+                stay &= live // n != groups // 2
+            if not stay.any():
+                break
+            parents = (np.repeat(np.flatnonzero(stay) * k, k)
+                       + rng.integers(0, k, int(stay.sum()) * k))
+            live = live[stay]
+            tokens = rng.integers(4, len(model.vocab), n)[np.repeat(live % n, k)]
+            other = rng.random(len(tokens)) < 0.15
+            tokens[other] = rng.integers(4, len(model.vocab), int(other.sum()))
+            for stepper in (got, want):
+                stepper.reorder(parents)
+            assert np.array_equal(got.advance(tokens, step), want.advance(tokens, step)), \
+                (layers, step)
+
+
+@pytest.mark.parametrize("beam_size", [1, 3])
+def test_removal_trunk_runs_once_per_source_at_priming(monkeypatch, beam_size):
+    """Priming a stepper of all 12 decoder-removal candidates, the trunk at
+    depth l (the candidates j > l, which run the parent's layer l) runs one
+    row per source, where each of its 11 - l candidates' beam slots used to
+    run one; the tail (the candidates j <= l, running layer l + 1) runs one
+    row per candidate and source, as its beam slots agree."""
+    import minimt.decode as decode_mod
+
+    n_dec = 12
+    model = _tiny_models(1, n_dec, 1, 8, 0)[0]
+    records = _records([("abc", "", "anu_Latn"), ("fed a", "", "bnu_Latn"),
+                        ("cab", "", "anu_Latn")])
+    sources = [(r.src, r.src_lang, r.tgt_lang) for r in records]
+    calls = []
+    decoder_layer = decode_mod.decoder_layer
+
+    def recording(w, i, x, *args):
+        calls.append((i, len(x)))
+        return decoder_layer(w, i, x, *args)
+
+    monkeypatch.setattr(decode_mod, "decoder_layer", recording)
+    _ModelStepper(model, [t for _, _, t in sources], _encode(model, sources),
+                  beam_size, _removal_plan(n_dec, range(n_dec)))
+    n = len(sources)
+    tails = [(l + 1, (l + 1) * n) for l in range(n_dec - 1)]
+    trunks = [(l, n) for l in range(n_dec - 1)]
+    position = [call for pair in zip(tails, trunks) for call in pair]
+    assert calls == position * 2
+
+
+def test_encoder_candidates_branch_from_one_parent_pass(monkeypatch):
+    """The encoder side runs the parent's encoder layers 0 .. L - 2 once,
+    and candidate j only layers j + 1 .., so the candidates of a 4-layer
+    encoder take 3 + 6 layer evaluations where a model per candidate took
+    12."""
+    import minimt.decode as decode_mod
+
+    model = _tiny_models(4, 1, 1, 8, 0)[0]
+    calls = []
+    encoder_layer = decode_mod.encoder_layer
+
+    def recording(w, i, *args):
+        calls.append(i)
+        return encoder_layer(w, i, *args)
+
+    monkeypatch.setattr(decode_mod, "encoder_layer", recording)
+    translate = removal_translator(model, ENCODER, [("abc", "anu_Latn", "bnu_Latn")], 1, 6)
+    assert calls == [0, 1, 2]
+    translate(range(4))
+    assert calls == [0, 1, 2] + [1, 2, 3] + [2, 3] + [3]
 
 
 @pytest.mark.parametrize("beam_size, side", [
