@@ -1,6 +1,7 @@
 """List every top-level def, class and method of src/minimt that nothing
 outside its own definition names, then every defaulted parameter of those
-functions and methods that no call passes:
+functions and methods that no call passes, then every field of a top-level
+dataclass that nothing reads:
 
     python3 scripts/ref_scan.py [<checkout>]
 
@@ -19,11 +20,22 @@ by keyword, or by position past the bound self or cls of a method. A call
 with *args or **kwargs passes every parameter it could reach. Each
 parameter no call passes prints as `path:line param function.parameter`.
 
-Both lists are candidates for deletion unless documented. The documented
-exceptions, which are all that the scan prints today:
+A field counts as read when an attribute of its name is read in one of
+those files (of any object, so a name two classes share is read for both),
+or when its class goes through asdict: its name appears in a top-level
+def or class that calls asdict, its own included. Each unread field prints
+as `path:line field Class.field`.
+
+The three lists are candidates for deletion unless documented. The
+documented exceptions, which are all that the scan prints today:
 - the oracles `removal_prefix_consistent` and `sum_all`;
 - `run_compression_pipeline` and `SubprocessScorer`, and their parameters,
-  which the README documents;
+  which the README documents, and the fields of the `PipelineResult` that
+  `run_compression_pipeline` returns;
+- `NoiseRates`' fields, which `as_dict` reads by name (`getattr` over
+  `NOISE_CLASSES`);
+- `MetricScore.warning`, which tells a caller of `bleu` why a corpus of
+  empty hypotheses scores 0;
 - `read_corpus`'s `format`, the README's TSV input;
 - `evaluate_direction`'s `clock`, which the tests replace with a fake clock;
 - `generate_synthetic_corpus`'s `directions`, with which the test fixtures
@@ -95,20 +107,54 @@ def passed_by_calls(trees) -> dict[str, tuple[set, int]]:
     return seen
 
 
+def is_dataclass(defn) -> bool:
+    """Whether defn is decorated with @dataclass or @dataclass(...)."""
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in defn.decorator_list)
+
+
+def read_fields(trees) -> tuple[set, set]:
+    """(every attribute name read in trees, every name in a top-level
+    definition of trees that calls asdict, the definition's own included)."""
+    attributes, through_asdict = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            names = {getattr(node, "name", None)}
+            calls_asdict = False
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    attributes.add(sub.attr)
+                elif isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                calls_asdict |= isinstance(sub, ast.Call) and "asdict" in (
+                    getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+            if calls_asdict:
+                through_asdict |= names
+    return attributes, through_asdict
+
+
 def main(root: Path) -> int:
     package = root / "src" / "minimt"
     sources = {path: path.read_text()
                for top in SCANNED for path in sorted((root / top).rglob("*.py"))
                if path not in (package / "__init__.py", root / "scripts" / "ref_scan.py")}
     lines_of = {path: text.splitlines() for path, text in sources.items()}
-    calls = passed_by_calls(ast.parse(text, str(path))
-                            for path, text in sources.items())
+    trees = [ast.parse(text, str(path)) for path, text in sources.items()]
+    calls = passed_by_calls(trees)
+    attributes, through_asdict = read_fields(trees)
     found = 0
-    unpassed = []
+    unpassed, unread = [], []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for kind, name, first, last, defn in definitions(path):
+            if kind == "class" and is_dataclass(defn) and name not in through_asdict:
+                unread.extend(
+                    f"{path.relative_to(root)}:{field.lineno} field {name}.{field.target.id}"
+                    for field in defn.body
+                    if isinstance(field, ast.AnnAssign)
+                    and isinstance(field.target, ast.Name)
+                    and field.target.id not in attributes)
             if not isinstance(defn, ast.ClassDef):
                 keywords, width = calls.get(name, (set(), 0))
                 unpassed.extend(
@@ -125,9 +171,10 @@ def main(root: Path) -> int:
                        if not (other == path and first <= n <= last)):
                 print(f"{path.relative_to(root)}:{first} {kind} {name}")
                 found += 1
-    for line in unpassed:
+    for line in unpassed + unread:
         print(line)
-    print(f"{found} unreferenced, {len(unpassed)} unpassed", file=sys.stderr)
+    print(f"{found} unreferenced, {len(unpassed)} unpassed, {len(unread)} unread",
+          file=sys.stderr)
     return 0
 
 

@@ -67,6 +67,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 ENV_CONFIG_DIR = "MINIMT_CONFIG_DIR"
 SCHEMA_VERSION = 1
+# gen-data's langid_seed.jsonl holds this many sentences per language
+LANGID_SEED_SIZE = 80
 
 
 class ConfigError(Exception):
@@ -198,7 +200,7 @@ def _read(path):
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.set,
                       ("seed", "train_size", "dev_size", "devtest_size",
-                       "noise_rates", "langid_seed_size"))
+                       "noise_rates"))
     seed = _number(int, cfg, "seed", 0)
     sizes = _build(SplitSpec, {
         "train_size": _number(int, cfg, "train_size", 2000),
@@ -206,12 +208,11 @@ def cmd_gen_data(args) -> int:
         "devtest_size": _number(int, cfg, "devtest_size", 200),
     }, "split")
     noise = _build(NoiseRates, _section(cfg, "noise_rates"), "noise")
-    langid_seed_size = _number(int, cfg, "langid_seed_size", 80)
     spec = ToyLanguageSpec()
 
     def work():
         corpus = generate_synthetic_corpus(spec, sizes, noise, seed)
-        seeds = langid_seed_corpus(spec, langid_seed_size, seed)
+        seeds = langid_seed_corpus(spec, LANGID_SEED_SIZE, seed)
         files = {os.path.join(args.out_dir, f"{split}.jsonl"):
                  corpus_jsonl(getattr(corpus, split))
                  for split in ("train", "dev", "devtest")}
@@ -440,8 +441,6 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     if args.chart:
-        if args.chart != "quality-efficiency":
-            raise ConfigError(f"unknown chart {args.chart!r}")
         labeled = []
         for path in args.infile:
             label = os.path.splitext(os.path.basename(path))[0]

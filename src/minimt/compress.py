@@ -210,7 +210,7 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
                 if pair not in pair_stats:
                     pair_stats[pair] = chrf_statistics(*pair)
             totals = [sum(c) for c in zip(*(pair_stats[pair] for pair in zip(hyps, refs)))]
-            values.append(chrf_from_statistics(totals, len(refs)).value)
+            values.append(chrf_from_statistics(totals).value)
         return values
 
     chrfs = {}

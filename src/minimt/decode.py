@@ -158,11 +158,17 @@ class _Run:
     one source with one token history, in groups that ran the same layers at
     every depth so far, hold equal states and caches, so the run computes
     one row per class and copies it to the class's rows. cls is each row's
-    class and rep a row of each class; the cross rows live in the leading
-    rows of buffers, which have a row per run row. A removal plan's trunk,
-    the candidates j > l that run the parent's layer l at depth l, thus runs
-    once per distinct history, and a sample's beam slots run once while
-    they agree."""
+    class, a slot in the cache and cross rows, and rep a row of each class,
+    recomputed whenever cls changes; the cross rows live in the leading
+    rows of buffers, which have a row per run row. regroup keeps the
+    classes in two phases: compact, where the classes whose rows all left
+    give their slots to the last live classes, then append splits, where a
+    class whose rows took different tokens keeps its slot for the lowest
+    token and each other token gets a new class after the live ones, with
+    a copy of the class's cache and cross rows. A removal plan's trunk,
+    the candidates j > l that run the parent's layer l at depth l, thus
+    runs once per distinct history, and a sample's beam slots run once
+    while they agree."""
 
     def __init__(self, g0: int, g1: int, layer: int, cross: list, src: np.ndarray,
                  owner: np.ndarray | None):
@@ -178,10 +184,8 @@ class _Run:
             key = owner * n + src
             present = np.zeros((int(owner.max()) + 1) * n, dtype=bool)
             present[key] = True
-            self.cls = (np.cumsum(present) - 1)[key]
-            self.rep = np.empty(int(present.sum()), dtype=np.int64)
-            self.rep[self.cls] = np.arange(len(key))
             first = np.flatnonzero(present) % n
+            self._classes((np.cumsum(present) - 1)[key], len(first))
             self.buffers = [np.empty((len(src), *a.shape[1:]), dtype=a.dtype) for a in cross]
             for b, a in zip(self.buffers, cross):
                 b[:len(first)] = a[first]
@@ -195,73 +199,61 @@ class _Run:
         self.cache = [np.zeros((len(k), k.shape[1], 0, k.shape[3]), dtype=k.dtype)
                       for _ in range(2)]
 
+    def _classes(self, cls: np.ndarray, m: int) -> None:
+        """Take cls, each row's slot among m, and recompute rep from it."""
+        self.cls = cls
+        self.rep = np.empty(m, dtype=np.int64)
+        self.rep[cls] = np.arange(len(cls))
+
     def regroup(self, tok: np.ndarray) -> None:
         """The classes once the run's rows take tok: a row's new class is
-        (its parent row's class, its token). A class keeps its slot while
-        any of its rows go on; the classes split off from it, and the
-        classes left beyond the new class count, take the slots of classes
-        whose rows all left. So a step copies cache and cross rows only for
+        (its parent row's class, its token). Compact, then append splits
+        (class docstring), so a step moves cache and cross rows only for
         the classes that changed."""
-        n_old = len(self.cross[0])
-        if self.parents is None:
-            # with the same rows, classes of one row each cannot split
-            if n_old == len(self.cls) or (tok[self.rep][self.cls] == tok).all():
-                return
-            parent, rep = self.cls, self.rep
-        else:
-            parent = self.cls[self.parents]
-            rep = np.empty(n_old, dtype=np.int64)
-            rep[parent] = np.arange(len(parent))
-        alive = np.zeros(n_old, dtype=bool)
-        if (tok[rep[parent]] == tok).all():
-            # no class splits
-            alive[parent] = True
-            split_from = parent[:0]
-        else:
-            order = np.lexsort((tok, parent))
-            p, t = parent[order], tok[order]
+        if self.parents is not None:
+            # compact: the last live classes fill the slots of dead ones,
+            # which frees the cache and cross rows past the live classes
+            cls = self.cls[self.parents]
+            self.parents = None
+            alive = np.zeros(len(self.rep), dtype=bool)
+            alive[cls] = True
+            m = int(alive.sum())
+            if m < len(alive):
+                holes = np.flatnonzero(~alive[:m])
+                movers = np.flatnonzero(alive[m:]) + m
+                for a in (*self.buffers, *self.cache):
+                    a[holes] = a[movers]
+                slot = np.arange(len(alive))
+                slot[movers] = holes
+                cls = slot[cls]
+            self._classes(cls, m)
+        m = len(self.rep)
+        # classes of one row each cannot split
+        if m < len(self.cls) and (tok[self.rep][self.cls] != tok).any():
+            # append splits: each (class, token) pair's class; a pair after
+            # its class's first splits off
+            order = np.lexsort((tok, self.cls))
+            c, t = self.cls[order], tok[order]
             first = np.ones(len(order), dtype=bool)
-            first[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
-            # each new class's parent class; the first of each keeps its slot
-            of = p[first]
-            keeps = np.ones(len(of), dtype=bool)
-            keeps[1:] = of[1:] != of[:-1]
-            alive[of] = True
-            split_from = of[~keeps]
-        self.parents = None
-
-        m = int(alive.sum()) + len(split_from)
-        movers = np.flatnonzero(alive[m:]) + m
-        targets = np.concatenate([np.flatnonzero(~alive[:m]), np.arange(n_old, m)])
-        sources = np.concatenate([movers, split_from])
-        slot = np.arange(n_old)
-        slot[movers] = targets[:len(movers)]
-        if not len(split_from):
-            self.cls = slot[parent]
-            old = np.flatnonzero(alive)
-            self.rep = np.empty(m, dtype=np.int64)
-            self.rep[slot[old]] = rep[old]
-        else:
-            new_slot = np.empty(len(of), dtype=np.int64)
-            new_slot[keeps] = slot[of[keeps]]
-            new_slot[~keeps] = targets[len(movers):]
-            self.cls = np.empty_like(parent)
-            self.cls[order] = new_slot[np.cumsum(first) - 1]
-            self.rep = np.empty(m, dtype=np.int64)
-            self.rep[new_slot] = order[first]
-
-        if len(targets):
-            for b in self.buffers:
-                b[targets] = b[sources]
-            if m > n_old:
-                take = np.arange(m)
-                take[targets] = sources
-                self.cache = [a[take] for a in self.cache]
-            else:
-                for a in self.cache:
-                    a[targets] = a[sources]
-        self.cache = [a[:m] for a in self.cache]
-        self.cross = [b[:m] for b in self.buffers]
+            first[1:] = (c[1:] != c[:-1]) | (t[1:] != t[:-1])
+            pair = c[first]
+            split = np.zeros(len(pair), dtype=bool)
+            split[1:] = pair[1:] == pair[:-1]
+            parents = pair[split]
+            pair[split] = np.arange(m, m + len(parents))
+            cls = np.empty_like(self.cls)
+            cls[order] = pair[np.cumsum(first) - 1]
+            n = m + len(parents)
+            if n > len(self.cache[0]):
+                # decoder_layer returns caches of exactly the class count,
+                # so only the rows of classes that left this step are free
+                self.cache = [np.concatenate([a, np.empty((n - len(a), *a.shape[1:]), a.dtype)])
+                              for a in self.cache]
+            for a in (*self.buffers, *self.cache):
+                a[m: n] = a[parents]
+            self._classes(cls, n)
+        self.cache = [a[:len(self.rep)] for a in self.cache]
+        self.cross = [b[:len(self.rep)] for b in self.buffers]
 
 
 class _ModelStepper:
@@ -285,7 +277,9 @@ class _ModelStepper:
     bytes each of its rows would have (in a batch of another padded width a
     row's bytes can differ). reorder may drop rows; every new row continues
     a row of its own sample, in sample order, and no sample has more rows
-    than it started with."""
+    than it started with. Each reorder is followed by an advance, as both
+    search loops call them, so a run holds one step's parent rows at a
+    time."""
 
     def __init__(self, model: TranslationModel, tgt_langs, encoding,
                  beam_size: int, plan: np.ndarray | None = None):
@@ -357,7 +351,7 @@ class _ModelStepper:
                 run.cache = [a[rows] for a in run.cache]
                 plain.append((run, rows))
             elif len(rows) != len(run.cls) or (rows != np.arange(len(rows))).any():
-                run.parents = rows if run.parents is None else run.parents[rows]
+                run.parents = rows
         # a row's cross rows are its sample's, so they change only when
         # samples leave; gathered after the caches shrank, which keeps the
         # peak lower

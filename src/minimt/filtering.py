@@ -33,20 +33,21 @@ STAGES = (STAGE_RULE, STAGE_LANG, STAGE_SEMANTIC, STAGE_QE)
 _TAG_RE = re.compile(r"<[^>]*>")
 
 
+# the rule-based stage drops a record with a side shorter than MIN_CHARS or
+# longer than MAX_CHARS characters, or one side over MAX_LENGTH_RATIO times
+# as long as the other
+MIN_CHARS = 3
+MAX_CHARS = 200
+MAX_LENGTH_RATIO = 2.0
+
+
 @dataclass(frozen=True)
 class FilterConfig:
-    min_chars: int = 3
-    max_chars: int = 200
-    max_length_ratio: float = 2.0
     threshold: float = 0.6
     skip_languages: dict = field(default_factory=dict)   # stage -> set of codes
     stages_enabled: dict = field(default_factory=dict)   # stage -> bool
 
     def __post_init__(self):
-        if not 0 < self.min_chars <= self.max_chars:
-            raise ValueError("need 0 < min_chars <= max_chars")
-        if self.max_length_ratio <= 1.0:
-            raise ValueError("max_length_ratio must be > 1")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold {self.threshold} outside [0, 1]")
         for stage in (*self.skip_languages, *self.stages_enabled):
@@ -70,8 +71,8 @@ class FilterConfig:
 
     def fingerprint(self) -> str:
         blob = json.dumps({
-            "min_chars": self.min_chars, "max_chars": self.max_chars,
-            "max_length_ratio": self.max_length_ratio, "threshold": self.threshold,
+            "min_chars": MIN_CHARS, "max_chars": MAX_CHARS,
+            "max_length_ratio": MAX_LENGTH_RATIO, "threshold": self.threshold,
             "skip_languages": {k: sorted(v) for k, v in sorted(self.skip_languages.items())},
             "stages_enabled": dict(sorted(self.stages_enabled.items())),
             "cosine_mapping": "(1+cos)/2",
@@ -376,7 +377,7 @@ def _strip_html(text: str) -> tuple[str, bool]:
     return _TAG_RE.sub("", text).strip(), True
 
 
-def rule_based_filter(records, cfg: FilterConfig):
+def rule_based_filter(records):
     """Strip HTML, then drop empty / out-of-length / misaligned-ratio /
     duplicate records, preserving the surviving order."""
     report = StageReport(stage=STAGE_RULE, n_in=len(records))
@@ -392,13 +393,13 @@ def rule_based_filter(records, cfg: FilterConfig):
             report.drop(r, "empty")
             continue
         ls, lt = len(r.src), len(r.tgt)
-        if min(ls, lt) < cfg.min_chars:
+        if min(ls, lt) < MIN_CHARS:
             report.drop(r, "min_length")
             continue
-        if max(ls, lt) > cfg.max_chars:
+        if max(ls, lt) > MAX_CHARS:
             report.drop(r, "max_length")
             continue
-        if max(ls, lt) / min(ls, lt) > cfg.max_length_ratio:
+        if max(ls, lt) / min(ls, lt) > MAX_LENGTH_RATIO:
             report.drop(r, "length_ratio")
             continue
         key = dedup_key(r)
@@ -527,7 +528,7 @@ def run_pipeline(records, cfg: FilterConfig, scorers: ScorerSet,
         if cfg.enabled(stage) and scorer is None:
             raise ValueError(missing)
     run_stage = {
-        STAGE_RULE: lambda recs: rule_based_filter(recs, cfg),
+        STAGE_RULE: rule_based_filter,
         STAGE_LANG: lambda recs: language_detection_filter(recs, scorers.langid, cfg),
         STAGE_SEMANTIC: lambda recs: semantic_filter(recs, scorers.embedder, cfg),
         STAGE_QE: lambda recs: quality_estimation_filter(recs, scorers.qe, cfg),

@@ -23,8 +23,6 @@ BLEU_ORDER = 4
 @dataclass(frozen=True)
 class MetricScore:
     value: float
-    metric: str
-    segment_count: int
     warning: str | None = None
 
     def __post_init__(self):
@@ -88,11 +86,11 @@ def chrf_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
     return (*hyp_tot, *ref_tot, *match_tot)
 
 
-def chrf_from_statistics(totals, segment_count: int) -> MetricScore:
-    """Corpus chrF++ from chrf_statistics summed over the corpus'
-    segment_count sentence pairs: order-averaged precision/recall over
-    character and word n-grams, combined with F_beta. Orders with zero
-    reference mass are excluded from the averages."""
+def chrf_from_statistics(totals) -> MetricScore:
+    """Corpus chrF++ from chrf_statistics summed over the corpus' sentence
+    pairs: order-averaged precision/recall over character and word n-grams,
+    combined with F_beta. Orders with zero reference mass are excluded from
+    the averages."""
     n_orders = CHRF_CHAR_ORDER + CHRF_WORD_ORDER
     hyp_tot = totals[:n_orders]
     ref_tot = totals[n_orders: 2 * n_orders]
@@ -116,14 +114,14 @@ def chrf_from_statistics(totals, segment_count: int) -> MetricScore:
         else:
             b2 = CHRF_BETA * CHRF_BETA
             value = 100.0 * (1 + b2) * p * r / (b2 * p + r)
-    return MetricScore(value, "chrf++", segment_count)
+    return MetricScore(value)
 
 
 def chrf_pp(hypotheses: list[str], references: list[str]) -> MetricScore:
     """Corpus chrF++ (chrf_from_statistics of the summed chrf_statistics)."""
     _check_parallel(hypotheses, references)
     stats = [chrf_statistics(h, r) for h, r in zip(hypotheses, references)]
-    return chrf_from_statistics([sum(c) for c in zip(*stats)], len(hypotheses))
+    return chrf_from_statistics([sum(c) for c in zip(*stats)])
 
 
 def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
@@ -153,8 +151,7 @@ def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
             total[n - 1] += sum(hc.values())
 
     if hyp_len == 0:
-        return MetricScore(0.0, "bleu", len(hypotheses),
-                           warning="all hypotheses empty")
+        return MetricScore(0.0, warning="all hypotheses empty")
 
     log_sum = 0.0
     zero_orders = 0
@@ -168,7 +165,7 @@ def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
 
     geo_mean = math.exp(log_sum / BLEU_ORDER)
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return MetricScore(100.0 * bp * geo_mean, "bleu", len(hypotheses))
+    return MetricScore(100.0 * bp * geo_mean)
 
 
 def evaluate_direction(model, testset, decode_cfg, clock=None):

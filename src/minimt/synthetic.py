@@ -101,8 +101,6 @@ class SyntheticCorpus:
     train: list[ParallelRecord]
     dev: list[ParallelRecord]
     devtest: list[ParallelRecord]
-    spec: ToyLanguageSpec
-    directions: list[tuple[str, str]]
 
 
 def _unique_sentences(n: int, rng: Rng):
@@ -217,8 +215,7 @@ def generate_synthetic_corpus(spec: ToyLanguageSpec, sizes: SplitSpec,
     for r in dev + devtest:
         if split_key(r) in train_keys:
             raise AssertionError("split leakage in synthetic generator")
-    return SyntheticCorpus(train=noisy, dev=dev, devtest=devtest, spec=spec,
-                           directions=list(directions))
+    return SyntheticCorpus(train=noisy, dev=dev, devtest=devtest)
 
 
 def langid_seed_corpus(spec: ToyLanguageSpec, n_per_lang: int, seed: int) -> dict[str, list[str]]:

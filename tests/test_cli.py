@@ -503,6 +503,11 @@ class TestErrors:
         ("prune", "n=1"),
         ("evaluate", "beam_size=1"),
         ("bench", "repetitons=1"),
+        # module constants, not settings, even at their value
+        ("gen-data", "langid_seed_size=80"),
+        ("filter", "filter.min_chars=3"),
+        ("filter", "filter.max_chars=200"),
+        ("filter", "filter.max_length_ratio=2.0"),
     ])
     def test_key_nothing_reads_is_config_error(
             self, tiny_ckpt, data_dir, tmp_path, capsys, command, setting):

@@ -664,6 +664,52 @@ def test_removal_trunk_runs_once_per_source_at_priming(monkeypatch, beam_size):
     assert calls == position * 2
 
 
+@pytest.mark.parametrize("change", ["split", "leave"])
+def test_removal_classes_keep_their_slots(change):
+    """In the trunk at depth 0 of a stepper of every decoder-removal
+    candidate, five classes, one per source, hold slots 0 .. 4. After a
+    step where source 1's class splits (group 2's rows take another
+    token), or where all of source 1's rows leave, every other class
+    keeps its slot, except that the last class takes the slot the leaving
+    class gave up; the split-off class is appended at slot 5. Every class
+    keeps its cache and cross bytes, the split-off class its parent's."""
+    n_dec, n, k = 3, 5, 2
+    model = _tiny_models(1, n_dec, 1, 8, 0)[0]
+    records = _records([(word, "", "anu_Latn") for word in ("ab", "c", "fed", "d a", "eb")])
+    sources = [(r.src, r.src_lang, r.tgt_lang) for r in records]
+    stepper = _ModelStepper(model, [t for _, _, t in sources], _encode(model, sources),
+                            k, _removal_plan(n_dec, range(n_dec)))
+    # candidate 0 runs layer 1 at depth 0, candidates 1 and 2 the trunk
+    run = stepper.runs[0][1]
+    assert (run.layer, run.g0, run.g1) == (0, 1, 3)
+    rows = np.arange(len(stepper.sample_of_row))
+    source = stepper.sample_of_row % n
+    token = 4 + np.arange(n)
+    stepper.advance(token[source], 0)
+    assert np.array_equal(run.cls, np.tile(np.repeat(np.arange(n), k), 2))
+
+    cls, bounds = run.cls.copy(), list(stepper.bounds)
+    cache, cross = [a.copy() for a in run.cache], [a.copy() for a in run.cross]
+    parents = rows[source != 1] if change == "leave" else rows
+    tok = token[source[parents]]
+    if change == "split":
+        tok[(stepper.sample_of_row // n == 2) & (source == 1)] = 4 + n
+    stepper.reorder(parents)
+    stepper.advance(tok, 1)
+
+    old = cls[parents[stepper.bounds[1]: stepper.bounds[3]] - bounds[1]]
+    want = old.copy()
+    if change == "leave":
+        want[old == n - 1] = 1
+    else:
+        want[tok[stepper.bounds[1]: stepper.bounds[3]] == 4 + n] = n
+    assert np.array_equal(run.cls, want)
+    for a, b in zip(run.cache, cache):
+        assert np.array_equal(a[run.cls, :, :-1], b[old])
+    for a, b in zip(run.cross, cross):
+        assert np.array_equal(a[run.cls], b[old])
+
+
 def test_encoder_candidates_branch_from_one_parent_pass(monkeypatch):
     """The encoder side runs the parent's encoder layers 0 .. L - 2 once,
     and candidate j only layers j + 1 .., so the candidates of a 4-layer

@@ -49,48 +49,45 @@ CLEAN = rec("zilo unat dumo trell", "nulo erin bidu sanim")
 
 class TestRuleBased:
     def test_short_side_dropped_as_min_length(self):
-        kept, report = rule_based_filter([rec("hi", "nulo erin")], FilterConfig())
+        kept, report = rule_based_filter([rec("hi", "nulo erin")])
         assert kept == []
         assert report.drop_reasons == {"min_length": 1}
 
     def test_ratio_violation_dropped(self):
-        kept, report = rule_based_filter(
-            [rec("a" * 30, "b" * 90)], FilterConfig())
+        kept, report = rule_based_filter([rec("a" * 30, "b" * 90)])
         assert kept == []
         assert report.drop_reasons == {"length_ratio": 1}
 
     def test_clean_record_passes_unchanged(self):
-        kept, report = rule_based_filter([CLEAN], FilterConfig())
+        kept, report = rule_based_filter([CLEAN])
         assert kept == [CLEAN]
         assert report.modified == 0
 
     def test_html_stripped_and_record_kept(self):
         tagged = rec("zilo <b>unat</b> dumo", "nulo erin bidu")
-        kept, report = rule_based_filter([tagged], FilterConfig())
+        kept, report = rule_based_filter([tagged])
         assert len(kept) == 1
         assert kept[0].src == "zilo unat dumo"
         assert report.modified == 1
 
     def test_markup_only_side_dropped_as_empty(self):
-        kept, report = rule_based_filter(
-            [rec("<p><br/></p>", "nulo erin bidu")], FilterConfig())
+        kept, report = rule_based_filter([rec("<p><br/></p>", "nulo erin bidu")])
         assert kept == []
         assert report.drop_reasons == {"empty": 1}
 
     def test_exact_duplicates_keep_first(self):
         a = rec("zilo unat dumo", "nulo erin bidu", origin="first")
         b = rec("zilo unat dumo", "nulo erin bidu", origin="second")
-        kept, report = rule_based_filter([a, b], FilterConfig())
+        kept, report = rule_based_filter([a, b])
         assert kept == [a]
         assert report.drop_reasons == {"duplicate": 1}
 
     def test_max_length_dropped(self):
-        kept, report = rule_based_filter(
-            [rec("x" * 201, "y" * 201)], FilterConfig())
+        kept, report = rule_based_filter([rec("x" * 201, "y" * 201)])
         assert report.drop_reasons == {"max_length": 1}
 
     def test_ratio_exactly_two_is_kept(self):
-        kept, _ = rule_based_filter([rec("abcd", "efghijkl")], FilterConfig())
+        kept, _ = rule_based_filter([rec("abcd", "efghijkl")])
         assert len(kept) == 1
 
 

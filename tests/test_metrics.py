@@ -52,11 +52,6 @@ class TestChrf:
         want = reference_chrf_pp(hyps, refs)
         assert abs(ours - want) < 1e-9
 
-    def test_config_fingerprint_and_fields(self):
-        score = chrf_pp(["ab"], ["ab"])
-        assert score.metric == "chrf++"
-        assert score.segment_count == 1
-
 
 class TestBleu:
     def test_identity_corpus_is_100(self):
