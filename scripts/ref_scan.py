@@ -34,12 +34,8 @@ documented exceptions, which are all that the scan prints today:
   `run_compression_pipeline` returns;
 - `NoiseRates`' fields, which `as_dict` reads by name (`getattr` over
   `NOISE_CLASSES`);
-- `MetricScore.warning`, which tells a caller of `bleu` why a corpus of
-  empty hypotheses scores 0;
 - `read_corpus`'s `format`, the README's TSV input;
-- `evaluate_direction`'s `clock`, which the tests replace with a fake clock;
-- `generate_synthetic_corpus`'s `directions`, with which the test fixtures
-  build one-direction and same-language corpora.
+- `evaluate_direction`'s `clock`, which the tests replace with a fake clock.
 """
 
 from __future__ import annotations

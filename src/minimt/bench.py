@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .decode import translate_batch
-from .model import check_counts
+from .model import OverLongError, check_counts
 from .parallel import map_ordered
 from .vocab import detokenize, tokenize
 
@@ -90,19 +90,24 @@ def decode_corpus(model, records, cfg: DecodeConfig, warmup_batches: int = 0,
     batches = batch_by_tokens(records, cfg.batch_token_budget,
                               encoder_token_count(model.vocab))
 
-    def decode(batch) -> list[tuple[str, int]]:
-        results = translate_batch(
-            model, [(r.src, r.src_lang, r.tgt_lang) for r in batch],
-            cfg.beam_size, cfg.max_output_length)
+    def decode(b: int) -> list[tuple[str, int]]:
+        try:
+            results = translate_batch(
+                model, [(r.src, r.src_lang, r.tgt_lang) for r in batches[b]],
+                cfg.beam_size, cfg.max_output_length)
+        except OverLongError as e:
+            e.index += sum(map(len, batches[:b]))   # the row's position in records
+            raise
         return [(detokenize(res.tokens, model.vocab), len(res.tokens))
                 for res in results]
 
     start_total = clock()
-    for batch in batches[:warmup_batches]:
-        decode(batch)
+    for b in range(len(batches))[:warmup_batches]:
+        decode(b)
 
     start_timed = clock()
-    rows = [row for decoded in map_ordered(decode, batches) for row in decoded]
+    rows = [row for decoded in map_ordered(decode, range(len(batches)))
+            for row in decoded]
     hyps = [hyp for hyp, _ in rows]
     output_tokens = sum(n for _, n in rows)
     end = clock()

@@ -5,7 +5,7 @@ staged fine-tune / prune / fine-tune / quantize pipeline.
 Greedy pruning removes one layer per iteration: every remaining candidate
 layer is scored by the dev chrF++ of the model without it, averaged over
 the importance directions (no retraining inside the loop), and the argmax
-is removed. decode.removal_translator decodes all of a side's candidates
+is removed. decode.removal_translations decodes all of a side's candidates
 for one direction in one stepper. Ties break to the first candidate in
 canonical order (encoder before decoder, then lowest original index). With
 sides="encoder+decoder" the removal budget n applies per side.
@@ -17,11 +17,12 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 
 from .bench import DecodeConfig, decode_corpus
 from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
-from .decode import removal_translator, translate_records
+from .decode import removal_translations, translate_records
 from .filtering import FilterConfig, ScorerSet, run_pipeline
 from .metrics import chrf_from_statistics, chrf_pp, chrf_statistics
 from .model import (DECODER, ENCODER, TranslationModel, check_counts, quantize_fp16,
@@ -175,10 +176,10 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
                           beam_size: int = 1, max_len: int = 64) -> dict:
     """chrF++ of the model with each candidate layer removed (no retraining).
     Keys are (side, current layer index). Every item of map_ordered is a
-    side, a direction and a block of that side's layers, which
-    decode.removal_translator decodes together: a direction's candidates
-    make one block, or, with fewer directions than CPUs, that many
-    contiguous blocks, so that every CPU has work."""
+    side, a direction and a block of that side's layers, which the item's
+    process decodes together with decode.removal_translations: a
+    direction's candidates make one block, or, with fewer directions than
+    CPUs, that many contiguous blocks, so that every CPU has work."""
     counts = _layer_counts(model)
     for side in sides:
         if counts[side] < 2:
@@ -186,30 +187,24 @@ def layer_importance_eval(model: TranslationModel, sides, dev_sets: dict,
     _check_records(dev_sets)
     directions = sorted(dev_sets)
     blocks = -(-len(os.sched_getaffinity(0)) // len(directions))
-    translators, items = {}, []
+    items = []
     for side in sides:
         n, per_direction = counts[side], min(counts[side], blocks)
-        for d in directions:
-            translators[side, d] = removal_translator(
-                model, side, [(r.src, r.src_lang, r.tgt_lang) for r in dev_sets[d]],
-                beam_size, max_len)
-            items += [(side, d, range(b * n // per_direction, (b + 1) * n // per_direction))
-                      for b in range(per_direction)]
+        items += [(side, d, range(b * n // per_direction, (b + 1) * n // per_direction))
+                  for d in directions for b in range(per_direction)]
 
     # chrf_statistics once per distinct (hypothesis, reference) pair in a
     # process: candidates often decode a source alike, and the integer sums
     # are exact, so each score is chrf_pp's
-    pair_stats = {}
+    pair_stats = cache(chrf_statistics)
 
     def score(item):
         side, d, layers = item
+        sources = [(r.src, r.src_lang, r.tgt_lang) for r in dev_sets[d]]
         refs = [r.tgt for r in dev_sets[d]]
         values = []
-        for hyps in translators[side, d](layers):
-            for pair in zip(hyps, refs):
-                if pair not in pair_stats:
-                    pair_stats[pair] = chrf_statistics(*pair)
-            totals = [sum(c) for c in zip(*(pair_stats[pair] for pair in zip(hyps, refs)))]
+        for hyps in removal_translations(model, side, sources, layers, beam_size, max_len):
+            totals = [sum(c) for c in zip(*(pair_stats(*pair) for pair in zip(hyps, refs)))]
             values.append(chrf_from_statistics(totals).value)
         return values
 

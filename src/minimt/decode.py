@@ -42,18 +42,15 @@ from .model import (
     source_batch,
 )
 from .parallel import map_ordered
-from .tensor import fast_max, layer_norm
+from .tensor import layer_norm, log_softmax
 from .vocab import detokenize
 
 # Teacher-forced passes run the model on this many rows at a time, keeping
-# the whole batch's padded widths. Every inference op is row-wise (a batched
+# the whole batch's padded widths, and forced_token_logprobs spreads blocks
+# of this many rows over the CPUs. Every inference op is row-wise (a batched
 # matmul makes one gemm per row), so a row's bytes do not depend on the
 # chunking, while a chunk's attention arrays stay cache-sized.
 ROW_CHUNK = 32
-# forced_token_logprobs hands each process this many rows of its batch at a
-# time; a multiple of ROW_CHUNK, so the row chunks are the same as in one
-# pass over the whole batch.
-FORCED_BLOCK = 5 * ROW_CHUNK
 
 
 @dataclass(frozen=True)
@@ -70,11 +67,6 @@ class BeamResult:
 class NonFiniteLogitsError(ValueError):
     """The decoder produced a NaN or infinite logit, e.g. from a model with
     non-finite weights."""
-
-
-def _log_softmax(x):
-    z = x - fast_max(x)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _by_row_chunks(fn, *arrays):
@@ -114,7 +106,7 @@ def full_decoder_logits_np(model: TranslationModel, src_ids, src_len, dec_in):
 def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
     """Length-normalized log-probability of each record's target given its
     source under the model (mean over target characters + eos). The batch
-    is built once; its FORCED_BLOCK-row blocks, each at the whole batch's
+    is built once; its ROW_CHUNK-row blocks, each at the whole batch's
     padded widths, are spread over the CPUs by map_ordered, and each returns
     only its per-record means, so no process holds the whole batch's
     logits."""
@@ -124,16 +116,14 @@ def forced_token_logprobs(model: TranslationModel, records) -> np.ndarray:
     positions = np.arange(dec_tgt.shape[1])
 
     def block_means(start: int) -> np.ndarray:
-        rows = slice(start, start + FORCED_BLOCK)
-        logp = _log_softmax(full_decoder_logits_np(
+        rows = slice(start, start + ROW_CHUNK)
+        logp = log_softmax(full_decoder_logits_np(
             model, src_ids[rows], src_len[rows], dec_in[rows]))
-        out = np.zeros(len(logp), dtype=np.float64)
-        for i, tgt in enumerate(dec_tgt[rows]):
-            out[i] = logp[i, positions, tgt][tgt != pad].mean()
-        return out
+        return np.array([lp[positions, tgt][tgt != pad].mean()
+                         for lp, tgt in zip(logp, dec_tgt[rows])], dtype=np.float64)
 
     return np.concatenate(map_ordered(block_means,
-                                      range(0, len(records), FORCED_BLOCK)))
+                                      range(0, len(records), ROW_CHUNK)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +389,13 @@ def _normalized(logprob: float, length: int) -> float:
     return logprob / max(length, 1)
 
 
+def _result(tokens, logprob: float, finished: bool) -> BeamResult:
+    """A BeamResult scored by the module docstring's rule: the length
+    counts a finished hypothesis's eos, which tokens leaves out."""
+    tokens = tuple(tokens)
+    return BeamResult(tokens, logprob, _normalized(logprob, len(tokens) + finished), finished)
+
+
 def _final_key(result_tokens: tuple, score: float):
     # higher score first, then lower first differing token, then shorter
     return (-score, result_tokens)
@@ -439,7 +436,7 @@ def _greedy_search(stepper, n_samples: int, eos_id: int,
     live = np.arange(n_samples)
     logits = stepper.prime_logits()
     for g in range(max_len):
-        cand = cum[live, None] + _log_softmax(logits.astype(np.float64))
+        cand = cum[live, None] + log_softmax(logits.astype(np.float64))
         tok = cand.argmax(axis=1)
         best = cand[np.arange(len(live)), tok]
         tokens[live, g] = tok
@@ -455,20 +452,12 @@ def _greedy_search(stepper, n_samples: int, eos_id: int,
         stepper.reorder(np.flatnonzero(keep))
         logits = stepper.advance(tok[keep], g)
 
-    alive = np.zeros(n_samples, dtype=bool)
-    alive[live] = True
-    results = []
-    for s in range(n_samples):
-        n, lp = int(length[s]), float(cum[s])
-        if finished[s]:
-            results.append(BeamResult(tuple(tokens[s, :n - 1].tolist()), lp,
-                                      _normalized(lp, n), True))
-        elif alive[s]:
-            results.append(BeamResult(tuple(tokens[s, :n].tolist()), lp,
-                                      _normalized(lp, n), False))
-        else:
-            results.append(BeamResult((), -math.inf, -math.inf, False))
-    return results
+    # a row that left unscored ends empty, at -inf
+    unscored = ~finished
+    unscored[live] = False
+    length[unscored], cum[unscored] = 0, -np.inf
+    return [_result(tokens[s, :length[s] - finished[s]].tolist(), float(cum[s]),
+                    bool(finished[s])) for s in range(n_samples)]
 
 
 def _group_position(groups: np.ndarray) -> np.ndarray:
@@ -486,8 +475,8 @@ def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
     and each sample takes its first k. A sample stops once every live beam
     has cum / max_len below its best finished score (module docstring)."""
     k, v = beam_size, vocab_size
-    # each sample's best finished hypothesis, (tokens with eos, logprob,
-    # score), and its score
+    # each sample's best finished hypothesis, (its _final_key over tokens
+    # with eos, its BeamResult), and its score
     best: list[tuple | None] = [None] * n_samples
     best_score = np.full(n_samples, -np.inf)
 
@@ -502,7 +491,7 @@ def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
     logits = stepper.prime_logits()
     for g in range(max_len):
         n = len(live)
-        cand = cum[:, :, None] + _log_softmax(logits.astype(np.float64)).reshape(n, k, v)
+        cand = cum[:, :, None] + log_softmax(logits.astype(np.float64)).reshape(n, k, v)
         cand = cand.reshape(n, k * v)
         cand[~np.isfinite(cand)] = -np.inf
         # a sample's k-th highest score; -inf when it has fewer than k
@@ -518,12 +507,12 @@ def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
 
         ends = tok == eos_id
         for t in np.flatnonzero(ends).tolist():
-            s, flp = int(live[i[t]]), float(lp[t])
-            seq = (*tokens[rows[t], :g].tolist(), eos_id)
-            score = _normalized(flp, g + 1)
-            if best[s] is None or _final_key(seq, score) < _final_key(best[s][0], best[s][2]):
-                best[s] = (seq, flp, score)
-                best_score[s] = score
+            s = int(live[i[t]])
+            result = _result(tokens[rows[t], :g].tolist(), float(lp[t]), True)
+            key = _final_key((*result.tokens, eos_id), result.score)
+            if best[s] is None or key < best[s][0]:
+                best[s] = (key, result)
+                best_score[s] = result.score
 
         # alive beams take their sample's slots in selection order; dead
         # slots continue row 0 of their own sample so cache gathers stay valid
@@ -552,21 +541,13 @@ def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
         stepper.reorder(parent_rows[keep].ravel())
         logits = stepper.advance(next_ids[keep].ravel(), g)
 
+    results = [b[1] if b else _result((), -math.inf, False) for b in best]
     # samples still live here reached max_len
-    row_of = {s: r for r, s in enumerate(live.tolist())}
-    results = []
-    for s in range(n_samples):
-        if best[s] is not None:
-            seq, lp, score = best[s]
-            results.append(BeamResult(seq[:-1], lp, score, True))
-        elif s in row_of:
-            r = row_of[s]
-            seq, lp = min(((tuple(tokens[r * k + j].tolist()), float(cum[r, j]))
-                           for j in np.flatnonzero(cum[r] > -np.inf).tolist()),
-                          key=lambda e: _final_key(e[0], _normalized(e[1], max_len)))
-            results.append(BeamResult(seq, lp, _normalized(lp, max_len), False))
-        else:
-            results.append(BeamResult((), -math.inf, -math.inf, False))
+    for r, s in enumerate(live.tolist()):
+        if best[s] is None:
+            results[s] = min((_result(tokens[r * k + j].tolist(), float(cum[r, j]), False)
+                              for j in np.flatnonzero(cum[r] > -np.inf).tolist()),
+                             key=lambda res: _final_key(res.tokens, res.score))
     return results
 
 
@@ -613,49 +594,42 @@ def _encoder_stack(w: dict, config, x: np.ndarray, bias: np.ndarray, layers) -> 
     return _by_row_chunks(run, x, bias)
 
 
-def removal_translator(model: TranslationModel, side: str,
-                       sources: list[tuple[str, str, str]], beam_size: int, max_len: int):
-    """Return translate(layers): for each layer j of side in layers (a
-    range), the hypotheses of remove_layers(model, side, {j}) on a nonempty
-    batch of (src_text, src_lang, tgt_lang) triples, as translate_records
-    gives them, all decoded in one stepper. The decoder side encodes the
-    sources once, here: at depth l the candidates j <= l run layer l + 1
-    and the others layer l, the parent's trunk, which the stepper runs once
-    per distinct token history. The encoder side runs the parent's encoder
-    once, here, keeping each layer's input; candidate j's encoding is
-    layers j + 1 .. applied to layer j's input, then the final layer norm,
-    decoded with the model's own decoder. translate may run in a forked
-    worker."""
+def removal_translations(model: TranslationModel, side: str,
+                         sources: list[tuple[str, str, str]], layers,
+                         beam_size: int, max_len: int) -> list[list[str]]:
+    """For each layer j of side in layers (ascending), the hypotheses of
+    remove_layers(model, side, {j}) on a nonempty batch of (src_text,
+    src_lang, tgt_lang) triples, as translate_records gives them, all
+    decoded in one stepper. The decoder side encodes the sources once: at
+    depth l the candidates j <= l run layer l + 1 and the others layer l,
+    the parent's trunk, which the stepper runs once per distinct token
+    history. The encoder side runs the parent's encoder layers below the
+    last of layers once, keeping each layer's input; candidate j's encoding
+    is layers j + 1 .. applied to layer j's input, then the final layer
+    norm, decoded with the model's own decoder."""
     if side not in (ENCODER, DECODER):
         raise ValueError(f"side must be '{ENCODER}' or '{DECODER}', got {side!r}")
     tgt_langs = [t for _, _, t in sources]
     config = model.config
     if side == DECODER:
-        encoding = _encode(model, sources)
         depths = np.arange(config.n_decoder_layers - 1)
+        stepper = _ModelStepper(model, tgt_langs, _encode(model, sources), beam_size,
+                                depths + (depths >= np.asarray(layers)[:, None]))
     else:
         w = compute_params(model)
         src_ids, src_len = source_batch(
             model.vocab, [(text, sl) for text, sl, _ in sources], config.max_positions)
         bias = pad_bias(src_len, src_ids.shape[1])
         inputs = [embed(w, config, src_ids)]
-        for i in range(config.n_encoder_layers - 1):
+        for i in range(layers[-1]):
             inputs.append(_encoder_stack(w, config, inputs[-1], bias, [i]))
-
-    def translate(layers) -> list[list[str]]:
-        if side == DECODER:
-            stepper = _ModelStepper(model, tgt_langs, encoding, beam_size,
-                                    depths + (depths >= np.asarray(layers)[:, None]))
-        else:
-            encodings = [layer_norm(_encoder_stack(w, config, inputs[j], bias,
-                                                   range(j + 1, config.n_encoder_layers)),
-                                    w["enc.final_ln.g"], w["enc.final_ln.b"])
-                         for j in layers]
-            stepper = _ModelStepper(model, tgt_langs * len(layers),
-                                    (np.concatenate(encodings),
-                                     np.concatenate([bias] * len(layers))), beam_size)
-        hyps = _hypotheses(_search(model, stepper, len(layers) * len(sources),
-                                   beam_size, max_len), model.vocab)
-        return [hyps[i: i + len(sources)] for i in range(0, len(hyps), len(sources))]
-
-    return translate
+        encodings = [layer_norm(_encoder_stack(w, config, inputs[j], bias,
+                                               range(j + 1, config.n_encoder_layers)),
+                                w["enc.final_ln.g"], w["enc.final_ln.b"])
+                     for j in layers]
+        stepper = _ModelStepper(model, tgt_langs * len(layers),
+                                (np.concatenate(encodings),
+                                 np.concatenate([bias] * len(layers))), beam_size)
+    hyps = _hypotheses(_search(model, stepper, len(layers) * len(sources),
+                               beam_size, max_len), model.vocab)
+    return [hyps[i: i + len(sources)] for i in range(0, len(hyps), len(sources))]

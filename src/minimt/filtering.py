@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import ParallelRecord, dedup_key
 from .langid import LangIdModel
+from .model import OverLongError
 
 STAGE_RULE = "rule_based"
 STAGE_LANG = "language_detection"
@@ -219,11 +220,15 @@ class PivotTranslationEmbedder:
         if todo:
             # no source the model can encode is over the budget
             budget = max(SEMANTIC_TOKEN_BUDGET, self.model.config.max_positions)
-            run = decode_corpus(
-                self.model, [ParallelRecord(langs[i], self.pivot_lang, texts[i], "")
-                             for i in todo],
-                DecodeConfig(beam_size=1, batch_token_budget=budget,
-                             max_output_length=self.max_len))
+            try:
+                run = decode_corpus(
+                    self.model, [ParallelRecord(langs[i], self.pivot_lang, texts[i], "")
+                                 for i in todo],
+                    DecodeConfig(beam_size=1, batch_token_budget=budget,
+                                 max_output_length=self.max_len))
+            except OverLongError as e:
+                e.index = todo[e.index]     # the text's position in texts
+                raise
             for i, hyp in zip(todo, run.hypotheses):
                 pivot_texts[i] = hyp
         return [self._profile(t) for t in pivot_texts]
@@ -456,7 +461,9 @@ def _threshold_stage(records, cfg: FilterConfig, stage: str, reason: str, who: s
     bypasses the stage with a `skipped_language` warning. The rest go to one
     `score_batch(records)` call, which must return `width` results per
     record, in order; `to_scores(results, report)` turns them into one score
-    per record, and a record is kept iff its score reaches the threshold."""
+    per record, and a record is kept iff its score reaches the threshold.
+    An OverLongError from score_batch indexes its results; it is re-raised
+    with the stage's name and the record's position in records."""
     report = StageReport(stage=stage, n_in=len(records))
     skips = cfg.skips(stage)
 
@@ -468,7 +475,11 @@ def _threshold_stage(records, cfg: FilterConfig, stage: str, reason: str, who: s
         else:
             scored.append(i)
 
-    results = score_batch([records[i] for i in scored]) if scored else []
+    try:
+        results = score_batch([records[i] for i in scored]) if scored else []
+    except OverLongError as e:
+        k = scored[e.index // width]
+        raise OverLongError(f"{stage} stage, record {k}: {e}", k) from e
     if len(results) != width * len(scored):
         raise ValueError(f"{who} returned {len(results)} results "
                          f"for {width * len(scored)} inputs")

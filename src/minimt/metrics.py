@@ -23,7 +23,6 @@ BLEU_ORDER = 4
 @dataclass(frozen=True)
 class MetricScore:
     value: float
-    warning: str | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 100.0:
@@ -132,7 +131,8 @@ def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
     separate tokens; no lowercasing. Exponential smoothing: the k-th order
     with zero matches (k counting zero-match orders so far) contributes
     precision 1/(2^k * max(total, 1)); the max(total, 1) guard covers orders
-    where the hypotheses contain no n-grams at all."""
+    where the hypotheses contain no n-grams at all. Hypotheses that are all
+    empty (c = 0) score 0."""
     _check_parallel(hypotheses, references)
 
     correct = [0] * BLEU_ORDER
@@ -151,7 +151,7 @@ def bleu(hypotheses: list[str], references: list[str]) -> MetricScore:
             total[n - 1] += sum(hc.values())
 
     if hyp_len == 0:
-        return MetricScore(0.0, warning="all hypotheses empty")
+        return MetricScore(0.0)
 
     log_sum = 0.0
     zero_orders = 0

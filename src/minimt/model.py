@@ -357,14 +357,26 @@ def _pad_rows(rows) -> np.ndarray:
     return out
 
 
+class OverLongError(ValueError):
+    """A batch row over max_positions. index is its row; a caller that built
+    the batch from a list of its own renumbers it to its position there."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+    def __reduce__(self):   # a pool's worker pickles it with its index
+        return type(self), (str(self), self.index)
+
+
 def source_batch(vocab: Vocab, sources, max_positions: int):
     """(src_ids, src_len) of a nonempty list of (src_text, src_lang) pairs:
     the encoder inputs padded with pad=0, and their lengths."""
     srcs = [encoder_input_ids(vocab, text, lang) for text, lang in sources]
-    for (text, _), ids in zip(sources, srcs):
+    for i, ((text, _), ids) in enumerate(zip(sources, srcs)):
         if len(ids) > max_positions:
-            raise ValueError(
-                f"source exceeds max_positions={max_positions}: src={text[:40]!r}")
+            raise OverLongError(
+                f"source exceeds max_positions={max_positions}: src={text[:40]!r}", i)
     return _pad_rows(srcs), np.array([len(s) for s in srcs], dtype=np.int64)
 
 
@@ -377,12 +389,12 @@ def build_batch(vocab: Vocab, records, max_positions: int):
     src_ids, src_len = source_batch(
         vocab, [(r.src, r.src_lang) for r in records], max_positions)
     decs, tgts = [], []
-    for r in records:
+    for i, r in enumerate(records):
         tgt_toks = tokenize(r.tgt, vocab)
         dec = decoder_start_ids(vocab, r.tgt_lang) + tgt_toks
         if len(dec) > max_positions:
-            raise ValueError(
-                f"target exceeds max_positions={max_positions}: tgt={r.tgt[:40]!r}")
+            raise OverLongError(
+                f"target exceeds max_positions={max_positions}: tgt={r.tgt[:40]!r}", i)
         decs.append(dec)
         tgts.append([vocab.pad] + tgt_toks + [vocab.eos])
     return src_ids, src_len, _pad_rows(decs), _pad_rows(tgts)

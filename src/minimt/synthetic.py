@@ -166,21 +166,17 @@ def _corrupt(record: ParallelRecord, cls: str, spec: ToyLanguageSpec,
 
 
 def generate_synthetic_corpus(spec: ToyLanguageSpec, sizes: SplitSpec,
-                              noise: NoiseRates, seed: int,
-                              directions=None) -> SyntheticCorpus:
-    """Clean train/dev/devtest splits plus noise-injected train records.
+                              noise: NoiseRates, seed: int) -> SyntheticCorpus:
+    """Clean train/dev/devtest splits plus noise-injected train records, in
+    both directions between the spec's first two languages.
 
     sizes.train_size counts clean pairs per direction before injection; each
     noise class adds round(rate * train_size) corrupted extras (train only).
     Splits are disjoint on (src_lang, tgt_lang, src, tgt) by construction.
     """
     root = Rng(seed)
-    if directions is None:
-        a, b = spec.languages[:2]
-        directions = [(a, b), (b, a)]
-    for s, t in directions:
-        if s not in spec.lexicons or t not in spec.lexicons:
-            raise ValueError(f"direction {s}-{t} uses an unknown language")
+    a, b = spec.languages[:2]
+    directions = [(a, b), (b, a)]
 
     total = sizes.train_size + sizes.dev_size + sizes.devtest_size
     bases = _unique_sentences(total, root.split("bases"))

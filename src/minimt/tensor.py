@@ -245,6 +245,12 @@ def fast_max(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return m.reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """log(softmax(x)) of an array along its last axis, max-subtracted."""
+    z = x - fast_max(x)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along one axis."""
     xd = _raw(x)
@@ -436,9 +442,7 @@ def cross_entropy(logits: Tensor, targets, label_smoothing: float = 0.0, *,
     if safe_targets.min() < 0 or safe_targets.max() >= vocab:
         raise ValueError("target index out of vocabulary range")
 
-    z = ld - fast_max(ld, 1)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse  # (n, vocab)
+    logp = log_softmax(ld)  # (n, vocab)
 
     eps = label_smoothing
     rows = np.arange(n)

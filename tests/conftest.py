@@ -164,10 +164,13 @@ def toy_run(toy_runs) -> ToyRun:
 @pytest.fixture(scope="session")
 def pivot_model(toy_spec):
     """Small bnu->anu model backing the pivot embedder (anu-side texts use
-    the embedder's identity shortcut, so one direction suffices)."""
-    corpus = generate_synthetic_corpus(
+    the embedder's identity shortcut, so one direction suffices), trained on
+    a corpus's bnu->anu records."""
+    full = generate_synthetic_corpus(
         toy_spec, SplitSpec(train_size=600, dev_size=30, devtest_size=30),
-        NoiseRates(), seed=202, directions=[("bnu_Latn", "anu_Latn")])
+        NoiseRates(), seed=202)
+    corpus = SyntheticCorpus(*([r for r in split if r.src_lang == "bnu_Latn"]
+                               for split in (full.train, full.dev, full.devtest)))
     vocab = build_vocab(toy_spec.alphabet(), toy_spec.languages)
     config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=4,
                          ffn_dim=64, n_encoder_layers=4, n_decoder_layers=4,
@@ -183,10 +186,14 @@ def pivot_model(toy_spec):
 
 @pytest.fixture(scope="session")
 def copy_model(toy_spec):
-    """Tiny model trained on the identity direction only (anu -> anu)."""
-    corpus = generate_synthetic_corpus(
+    """Tiny model trained on the identity direction only (anu -> anu): a
+    corpus's anu sources, each paired with itself."""
+    full = generate_synthetic_corpus(
         toy_spec, SplitSpec(train_size=700, dev_size=30, devtest_size=30),
-        NoiseRates(), seed=203, directions=[("anu_Latn", "anu_Latn")])
+        NoiseRates(), seed=203)
+    corpus = SyntheticCorpus(*([replace(r, tgt_lang=r.src_lang, tgt=r.src)
+                                for r in split if r.src_lang == "anu_Latn"]
+                               for split in (full.train, full.dev, full.devtest)))
     vocab = build_vocab(toy_spec.alphabet(), toy_spec.languages)
     config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=4,
                          ffn_dim=64, n_encoder_layers=2, n_decoder_layers=2,

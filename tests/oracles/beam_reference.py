@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from minimt.decode import BeamResult, _final_key, _log_softmax, _normalized
+from minimt.decode import BeamResult, _final_key, _normalized
+from minimt.tensor import log_softmax
 
 
 def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
@@ -29,7 +30,7 @@ def _beam_loop(stepper, n_samples: int, vocab_size: int, eos_id: int,
     live = np.arange(n_samples)
     logits = stepper.prime_logits()
     for g in range(max_len):
-        logp = _log_softmax(logits.astype(np.float64))
+        logp = log_softmax(logits.astype(np.float64))
         cand = cum[live, :, None] + logp.reshape(len(live), k, vocab_size)
         cand[~alive[live]] = -np.inf
 

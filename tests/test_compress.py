@@ -178,18 +178,14 @@ class TestLayerImportance:
         hyps = []
         use_cpus(1)     # a worker's recorded calls stay in it
 
-        removal_translator = compress_mod.removal_translator
+        removal_translations = compress_mod.removal_translations
 
-        def recording_translator(*args):
-            translate = removal_translator(*args)
+        def recording(*args):
+            out = removal_translations(*args)
+            hyps.extend(out)
+            return out
 
-            def recording(layers):
-                out = translate(layers)
-                hyps.extend(out)
-                return out
-            return recording
-
-        monkeypatch.setattr(compress_mod, "removal_translator", recording_translator)
+        monkeypatch.setattr(compress_mod, "removal_translations", recording)
         scores = layer_importance_eval(model, ["encoder", "decoder"], dev_sets,
                                        beam_size=1, max_len=40)
         monkeypatch.undo()

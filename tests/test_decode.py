@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimt.decode import (
-    FORCED_BLOCK,
     ROW_CHUNK,
     NonFiniteLogitsError,
     _encode,
@@ -15,7 +14,7 @@ from minimt.decode import (
     encode_np,
     forced_token_logprobs,
     full_decoder_logits_np,
-    removal_translator,
+    removal_translations,
     translate_batch,
     translate_records,
 )
@@ -726,18 +725,17 @@ def test_encoder_candidates_branch_from_one_parent_pass(monkeypatch):
         return encoder_layer(w, i, *args)
 
     monkeypatch.setattr(decode_mod, "encoder_layer", recording)
-    translate = removal_translator(model, ENCODER, [("abc", "anu_Latn", "bnu_Latn")], 1, 6)
-    assert calls == [0, 1, 2]
-    translate(range(4))
+    removal_translations(model, ENCODER, [("abc", "anu_Latn", "bnu_Latn")], range(4), 1, 6)
     assert calls == [0, 1, 2] + [1, 2, 3] + [2, 3] + [3]
 
 
 @pytest.mark.parametrize("beam_size, side", [
     (1, DECODER), (3, DECODER), (1, ENCODER), (3, ENCODER)],
     ids=["1", "3", "1-encoder", "3-encoder"])
-def test_removal_translator_decodes_like_each_pruned_model(model, beam_size, side):
-    """Every candidate of removal_translator, whole or in a block, gives the
-    hypotheses translate_records gives for the model without that layer."""
+def test_removal_translations_decode_like_each_pruned_model(model, beam_size, side):
+    """Every candidate of removal_translations, whole or in a block, gives
+    the hypotheses translate_records gives for the model without that
+    layer."""
     model = model.clone()
     # larger residual branches, so that the hypotheses differ in length
     for name, a in model.params.items():
@@ -745,20 +743,20 @@ def test_removal_translator_decodes_like_each_pruned_model(model, beam_size, sid
             a *= 8
     records = _records([("abc fed", "", "anu_Latn"), ("fedcba", "", "bnu_Latn"),
                         ("a", "", "anu_Latn"), ("cab dab", "", "bnu_Latn")])
-    translate = removal_translator(
-        model, side, [(r.src, r.src_lang, r.tgt_lang) for r in records], beam_size, 12)
+    sources = [(r.src, r.src_lang, r.tgt_lang) for r in records]
     n = (model.config.n_encoder_layers if side == ENCODER
          else model.config.n_decoder_layers)
     want = [translate_records(remove_layers(model, side, {j}), records, beam_size, 12)
             for j in range(n)]
     assert any(h for hyps in want for h in hyps)
-    assert translate(range(n)) == want
-    assert translate(range(1, n)) == want[1:]
+    assert removal_translations(model, side, sources, range(n), beam_size, 12) == want
+    assert removal_translations(model, side, sources, range(1, n), beam_size, 12) == want[1:]
 
 
-def test_removal_translator_rejects_an_unknown_side(model):
+def test_removal_translations_reject_an_unknown_side(model):
     with pytest.raises(ValueError, match="'middle'"):
-        removal_translator(model, "middle", [("abc", "anu_Latn", "bnu_Latn")], 1, 12)
+        removal_translations(model, "middle", [("abc", "anu_Latn", "bnu_Latn")],
+                             range(1), 1, 12)
 
 
 def _unchunked_pass(model, records):
@@ -806,13 +804,13 @@ def test_row_chunked_passes_equal_one_unchunked_pass(seed):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_forced_blocks_equal_one_unblocked_pass(use_cpus, cpus):
-    """forced_token_logprobs scores FORCED_BLOCK-row blocks on every CPU;
+    """forced_token_logprobs scores ROW_CHUNK-row blocks on every CPU;
     over more than two blocks of rows of unequal lengths its means equal
     those of one pass over the whole batch byte for byte, for the model as
     built, after layer removal and after fp16 storage."""
     use_cpus(cpus)
     rng = np.random.default_rng(5)
-    n = 2 * FORCED_BLOCK + 7
+    n = 2 * ROW_CHUNK + 7
     words = ["".join(rng.choice(list("abcdef "), rng.integers(1, 10)))
              for _ in range(2 * n)]
     records = _records([(words[2 * i], words[2 * i + 1], LANGS[i % 2])

@@ -31,13 +31,15 @@ from minimt.filtering import (
     semantic_filter,
 )
 from minimt.langid import train_langid
+from minimt.model import ModelConfig, OverLongError, init_model
+from minimt.rng import Rng
 from minimt.synthetic import (
     NoiseRates,
     ToyLanguageSpec,
     generate_synthetic_corpus,
     langid_seed_corpus,
 )
-from minimt.vocab import detokenize
+from minimt.vocab import build_vocab, detokenize
 
 
 def rec(src, tgt, sl="anu_Latn", tl="bnu_Latn", **kw):
@@ -487,3 +489,47 @@ class TestModelScorersOnEveryCpu:
         assert 0 < len(runs[0][0]) < len(records)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestOverLongRecords:
+    """A pair within the rule-based stage's length rules can still exceed
+    the model's max_positions; each model stage then stops with an error
+    that names the stage and the record's position in its input (after a
+    skip-listed record, and in a later decode batch)."""
+
+    LONG = " ".join(["nulo", "erin", "bidu"] * 11)    # 164 characters
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        spec = ToyLanguageSpec()
+        vocab = build_vocab(spec.alphabet(), spec.languages)
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, ffn_dim=16,
+                             n_encoder_layers=1, n_decoder_layers=1, max_positions=64)
+        return init_model(config, vocab, Rng(0))
+
+    def _records(self):
+        short = rec("nulo erin bidu sani", "zilo unat dumo trel", "bnu_Latn", "anu_Latn")
+        records = [rec("osum ikke tove", "zilo unat dumo", "cnu_Latn", "anu_Latn"),
+                   *[short] * 8, rec(self.LONG, self.LONG, "bnu_Latn", "anu_Latn"), short]
+        kept, _ = rule_based_filter(records)
+        assert self.LONG in {r.src for r in kept}
+        return records
+
+    def test_semantic_stage_names_the_record(self, model, monkeypatch, use_cpus):
+        use_cpus(2)
+        # a budget that puts the long source in the second decode batch
+        monkeypatch.setattr(filtering, "SEMANTIC_TOKEN_BUDGET", 200)
+        cfg = FilterConfig(skip_languages={STAGE_SEMANTIC: ["cnu_Latn"]})
+        embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=4)
+        with pytest.raises(OverLongError, match=r"^semantic stage, record 9: source "
+                                                r"exceeds max_positions=64") as info:
+            semantic_filter(self._records(), embedder, cfg)
+        assert info.value.index == 9
+
+    def test_quality_estimation_stage_names_the_record(self, model):
+        cfg = FilterConfig(skip_languages={STAGE_QE: ["cnu_Latn"]})
+        qe = filtering.ForcedLogProbQualityScorer(model)
+        with pytest.raises(OverLongError, match=r"^quality_estimation stage, record 9: "
+                                                r"source exceeds max_positions=64") as info:
+            quality_estimation_filter(self._records(), qe, cfg)
+        assert info.value.index == 9

