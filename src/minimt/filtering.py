@@ -175,7 +175,8 @@ def langid_scorers(model: LangIdModel) -> dict[str, NaiveBayesLanguageScorer]:
 
 PIVOT_EMBED_DIM = 256
 # Source-token budget of one semantic-stage decode batch. Batches are spread
-# over the CPUs; larger ones cost less per row (filter's ~600 rows make 4).
+# over the CPUs; larger ones cost less per row (filter's ~300 distinct
+# non-pivot texts make 2).
 SEMANTIC_TOKEN_BUDGET = 4096
 
 
@@ -186,7 +187,8 @@ class PivotTranslationEmbedder:
     pivot sentence, so cosine similarity separates aligned pairs from
     mismatched ones. Word bigrams (over boundary-padded tokens) keep
     unrelated same-language sentences nearly orthogonal, which character
-    n-grams do not."""
+    n-grams do not. A sentence of a bidirectional corpus is a source and a
+    target; embed_batch translates each distinct (text, language) once."""
 
     def __init__(self, model, pivot_lang: str, max_len: int = 64):
         if pivot_lang not in model.vocab.language_tags:
@@ -208,30 +210,37 @@ class PivotTranslationEmbedder:
         return vec
 
     def embed_batch(self, texts: list[str], langs: list[str]) -> list[np.ndarray]:
-        """One profile per text. The texts not in the pivot language are
-        decoded at beam 1 in SEMANTIC_TOKEN_BUDGET batches by decode_corpus.
-        A translation depends on its batch only through the batch's padded
-        source width, which the texts and their order fix."""
+        """One profile per text. Each distinct (text, lang) not in the pivot
+        language is decoded once, at beam 1, in SEMANTIC_TOKEN_BUDGET batches
+        by decode_corpus, and every position holding it gets that one
+        translation. A translation depends on its batch only through the
+        batch's padded source width, which the distinct texts and their
+        first-seen order fix. An over-long text is named at its first
+        position."""
         from .bench import DecodeConfig, decode_corpus
 
-        # pivot-language text is its own pivot translation
-        todo = [i for i, l in enumerate(langs) if l != self.pivot_lang]
-        pivot_texts = list(texts)
+        if len(texts) != len(langs):
+            raise ValueError(f"embed_batch got {len(texts)} texts but "
+                             f"{len(langs)} languages")
+        keys = list(zip(texts, langs))
+        # pivot-language text is its own pivot translation; a bidirectional
+        # corpus holds every other text twice, and it is decoded once
+        todo = list(dict.fromkeys(k for k in keys if k[1] != self.pivot_lang))
+        hyps = {}
         if todo:
             # no source the model can encode is over the budget
             budget = max(SEMANTIC_TOKEN_BUDGET, self.model.config.max_positions)
             try:
                 run = decode_corpus(
-                    self.model, [ParallelRecord(langs[i], self.pivot_lang, texts[i], "")
-                                 for i in todo],
+                    self.model, [ParallelRecord(lang, self.pivot_lang, text, "")
+                                 for text, lang in todo],
                     DecodeConfig(beam_size=1, batch_token_budget=budget,
                                  max_output_length=self.max_len))
             except OverLongError as e:
-                e.index = todo[e.index]     # the text's position in texts
+                e.index = keys.index(todo[e.index])   # first position in texts
                 raise
-            for i, hyp in zip(todo, run.hypotheses):
-                pivot_texts[i] = hyp
-        return [self._profile(t) for t in pivot_texts]
+            hyps = dict(zip(todo, run.hypotheses))
+        return [self._profile(hyps.get(k, k[0])) for k in keys]
 
 
 class ForcedLogProbQualityScorer:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import minimt.bench as bench
 import minimt.filtering as filtering
 from minimt.bench import encoder_token_count
 from minimt.corpus import ParallelRecord, SplitSpec
@@ -445,6 +447,33 @@ def _pivot_inputs(corpus, n):
     return records
 
 
+def _unsplit_profiles(embedder, texts, langs) -> bytes:
+    """The profile bytes of every text, its non-pivot rows all decoded,
+    repeats included, in one translate_batch call."""
+    todo = [i for i, l in enumerate(langs) if l != embedder.pivot_lang]
+    results = translate_batch(embedder.model,
+                              [(texts[i], langs[i], embedder.pivot_lang) for i in todo],
+                              beam_size=1, max_len=embedder.max_len)
+    pivot_texts = list(texts)
+    for i, r in zip(todo, results):
+        pivot_texts[i] = detokenize(r.tokens, embedder.model.vocab)
+    return b"".join(embedder._profile(t).tobytes() for t in pivot_texts)
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The (src, src_lang) rows of each bench.decode_corpus call, in order."""
+    calls = []
+    decode_corpus = bench.decode_corpus
+
+    def spy(model, records, cfg):
+        calls.append([(r.src, r.src_lang) for r in records])
+        return decode_corpus(model, records, cfg)
+
+    monkeypatch.setattr(bench, "decode_corpus", spy)
+    return calls
+
+
 class TestModelScorersOnEveryCpu:
     def test_embeddings_equal_one_translate_batch(self, pivot_model, use_cpus):
         model, corpus = pivot_model
@@ -456,17 +485,52 @@ class TestModelScorersOnEveryCpu:
         count = encoder_token_count(model.vocab)
         assert sum(count(records[i // 2]) for i in todo) > 2 * SEMANTIC_TOKEN_BUDGET
 
-        # the unsplit path: one translate_batch call over every decoded row
-        results = translate_batch(model, [(texts[i], langs[i], "anu_Latn") for i in todo],
-                                  beam_size=1, max_len=48)
-        pivot_texts = list(texts)
-        for i, r in zip(todo, results):
-            pivot_texts[i] = detokenize(r.tokens, model.vocab)
-        want = b"".join(embedder._profile(t).tobytes() for t in pivot_texts)
+        want = _unsplit_profiles(embedder, texts, langs)
         for cpus in (1, 2):
             use_cpus(cpus)
             got = embedder.embed_batch(texts, langs)
             assert b"".join(v.tobytes() for v in got) == want
+
+    def test_bidirectional_input_decodes_each_distinct_text_once(self, pivot_model,
+                                                                 use_cpus, decoded):
+        model, corpus = pivot_model
+        # every record once per direction: each bnu text is a src and a tgt
+        records = [r for fwd in _pivot_inputs(corpus, 200)
+                   for r in (fwd, ParallelRecord(src_lang=fwd.tgt_lang, tgt_lang=fwd.src_lang,
+                                                 src=fwd.tgt, tgt=fwd.src))]
+        texts = [t for r in records for t in (r.src, r.tgt)]
+        langs = [l for r in records for l in (r.src_lang, r.tgt_lang)]
+        todo = [i for i, l in enumerate(langs) if l != "anu_Latn"]
+        distinct = list(dict.fromkeys((texts[i], langs[i]) for i in todo))
+        assert len(todo) == 2 * len(distinct)
+        count = encoder_token_count(model.vocab)
+        assert sum(count(rec(t, "", l)) for t, l in distinct) > SEMANTIC_TOKEN_BUDGET
+
+        embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=48)
+        want = _unsplit_profiles(embedder, texts, langs)
+        for cpus in (1, 2):
+            use_cpus(cpus)
+            decoded.clear()
+            got = embedder.embed_batch(texts, langs)
+            assert decoded == [distinct]
+            assert b"".join(v.tobytes() for v in got) == want
+
+    def test_same_text_in_two_languages_decodes_twice(self, pivot_model, decoded):
+        model, _ = pivot_model
+        text = "nulo erin bidu sani"
+        embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=48)
+        got = embedder.embed_batch([text] * 4, ["bnu_Latn", "cnu_Latn", "bnu_Latn", "anu_Latn"])
+        assert decoded == [[(text, "bnu_Latn"), (text, "cnu_Latn")]]
+        assert got[0].tobytes() == got[2].tobytes()
+        assert got[3].tobytes() == embedder._profile(text).tobytes()
+
+    @pytest.mark.parametrize("n_texts,n_langs", [(3, 1), (1, 2)])
+    def test_texts_and_langs_of_different_lengths_are_an_error(self, pivot_model,
+                                                                n_texts, n_langs):
+        embedder = PivotTranslationEmbedder(pivot_model[0], "anu_Latn")
+        with pytest.raises(ValueError, match=rf"^embed_batch got {n_texts} texts but "
+                                             rf"{n_langs} languages$"):
+            embedder.embed_batch(["zilo unat"] * n_texts, ["bnu_Latn"] * n_langs)
 
     def test_external_qe_scorer_beside_a_forking_semantic_stage(self, pivot_model,
                                                                 use_cpus):
@@ -508,14 +572,19 @@ class TestOverLongRecords:
         return init_model(config, vocab, Rng(0))
 
     def _records(self):
-        short = rec("nulo erin bidu sani", "zilo unat dumo trel", "bnu_Latn", "anu_Latn")
+        # distinct sources of 21 tokens each: the semantic stage decodes
+        # each distinct text once, and 8 of them fill a 200-token batch
+        shorts = [rec(" ".join(words), "zilo unat dumo trel", "bnu_Latn", "anu_Latn")
+                  for words in itertools.islice(
+                      itertools.permutations(["nulo", "erin", "bidu", "sani"]), 9)]
         records = [rec("osum ikke tove", "zilo unat dumo", "cnu_Latn", "anu_Latn"),
-                   *[short] * 8, rec(self.LONG, self.LONG, "bnu_Latn", "anu_Latn"), short]
+                   *shorts[:8], rec(self.LONG, self.LONG, "bnu_Latn", "anu_Latn"),
+                   shorts[8]]
         kept, _ = rule_based_filter(records)
         assert self.LONG in {r.src for r in kept}
         return records
 
-    def test_semantic_stage_names_the_record(self, model, monkeypatch, use_cpus):
+    def _semantic_error(self, model, monkeypatch, use_cpus, records):
         use_cpus(2)
         # a budget that puts the long source in the second decode batch
         monkeypatch.setattr(filtering, "SEMANTIC_TOKEN_BUDGET", 200)
@@ -523,8 +592,17 @@ class TestOverLongRecords:
         embedder = PivotTranslationEmbedder(model, "anu_Latn", max_len=4)
         with pytest.raises(OverLongError, match=r"^semantic stage, record 9: source "
                                                 r"exceeds max_positions=64") as info:
-            semantic_filter(self._records(), embedder, cfg)
+            semantic_filter(records, embedder, cfg)
         assert info.value.index == 9
+
+    def test_semantic_stage_names_the_record(self, model, monkeypatch, use_cpus):
+        self._semantic_error(model, monkeypatch, use_cpus, self._records())
+
+    def test_semantic_stage_names_the_first_record_of_a_repeated_text(
+            self, model, monkeypatch, use_cpus):
+        # the long text again, as the target of the reverse pair
+        records = [*self._records(), rec(self.LONG, self.LONG, "anu_Latn", "bnu_Latn")]
+        self._semantic_error(model, monkeypatch, use_cpus, records)
 
     def test_quality_estimation_stage_names_the_record(self, model):
         cfg = FilterConfig(skip_languages={STAGE_QE: ["cnu_Latn"]})
