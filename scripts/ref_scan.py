@@ -30,10 +30,9 @@ The three lists are candidates for deletion unless documented. The
 documented exceptions, which are all that the scan prints today:
 - the oracles `removal_prefix_consistent` and `sum_all`;
 - `run_compression_pipeline` and `SubprocessScorer`, and their parameters,
-  which the README documents, and the fields of the `PipelineResult` that
+  which the README documents (the pipeline's `distill_cfg` and `teacher`,
+  the scorer's `name`), and the fields of the `PipelineResult` that
   `run_compression_pipeline` returns;
-- `NoiseRates`' fields, which `as_dict` reads by name (`getattr` over
-  `NOISE_CLASSES`);
 - `read_corpus`'s `format`, the README's TSV input;
 - `evaluate_direction`'s `clock`, which the tests replace with a fake clock.
 """

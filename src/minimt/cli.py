@@ -147,6 +147,13 @@ def _number(kind, node: dict, key: str, default):
         raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
+def _numbers(kind, node: dict, keys) -> dict:
+    """{key: _number(kind, node, key, None)} for each of keys that node
+    sets; a key it leaves out keeps the default of the class built from
+    the result."""
+    return {key: _number(kind, node, key, None) for key in keys if key in node}
+
+
 def _section(cfg: dict, key: str) -> dict:
     """cfg[key], or {} when the key is absent; a config error unless it is
     a JSON object."""
@@ -202,11 +209,8 @@ def cmd_gen_data(args) -> int:
                       ("seed", "train_size", "dev_size", "devtest_size",
                        "noise_rates"))
     seed = _number(int, cfg, "seed", 0)
-    sizes = _build(SplitSpec, {
-        "train_size": _number(int, cfg, "train_size", 2000),
-        "dev_size": _number(int, cfg, "dev_size", 200),
-        "devtest_size": _number(int, cfg, "devtest_size", 200),
-    }, "split")
+    sizes = _build(SplitSpec, _numbers(
+        int, cfg, ("train_size", "dev_size", "devtest_size")), "split")
     noise = _build(NoiseRates, _section(cfg, "noise_rates"), "noise")
     spec = ToyLanguageSpec()
 
@@ -269,8 +273,7 @@ def cmd_filter(args) -> int:
         scorers.embedder = PivotTranslationEmbedder(model, pivot)
     if fc.enabled("quality_estimation"):
         scorers.qe = ForcedLogProbQualityScorer(
-            model, midpoint=_number(float, qe_cfg, "midpoint", -1.5),
-            scale=_number(float, qe_cfg, "scale", 0.5))
+            model, **_numbers(float, qe_cfg, ("midpoint", "scale")))
 
     records = _read(args.infile)
     timings: dict = {}

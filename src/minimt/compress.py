@@ -23,7 +23,7 @@ from .bench import DecodeConfig, decode_corpus
 from .checkpoint import save_checkpoint
 from .corpus import ParallelRecord
 from .decode import removal_translations, translate_records
-from .filtering import FilterConfig, ScorerSet, run_pipeline
+from .filtering import rule_based_filter
 from .metrics import chrf_from_statistics, chrf_pp, chrf_statistics
 from .model import (DECODER, ENCODER, TranslationModel, check_counts, quantize_fp16,
                     remove_layers)
@@ -102,13 +102,7 @@ class PruneReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps({
-            "strategy": self.strategy,
-            "config": self.config,
-            "iterations": [asdict(it) for it in self.iterations],
-            "final_fingerprint": self.final_fingerprint,
-            "notes": self.notes,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -342,14 +336,13 @@ class DistillConfig:
 
 
 def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
-            authentic_records, filter_cfg: FilterConfig | None = None,
-            scorers: ScorerSet | None = None, student_vocab=None):
+            authentic_records, student_vocab=None):
     """Authentic corpus plus teacher-generated synthetic pairs.
 
     The teacher decodes the sources with bench.decode_corpus: token-budget
     batches spread over the CPUs, each row's hypothesis independent of its
     batch. Synthetic pairs whose target exactly matches any authentic target
-    are dropped; the survivors pass back through the filter pipeline.
+    are dropped; the survivors pass the rule-based filter stage.
     """
     if student_vocab is not None and student_vocab != teacher.vocab:
         raise ValueError("teacher and student vocabularies differ")
@@ -365,14 +358,8 @@ def distill(teacher: TranslationModel, source_records, cfg: DistillConfig,
     ]
 
     authentic_targets = {r.tgt for r in authentic_records}
-    synthetic = [r for r in synthetic if r.tgt not in authentic_targets]
-
-    if synthetic:
-        fc = filter_cfg or FilterConfig(
-            stages_enabled={"language_detection": False, "semantic": False,
-                            "quality_estimation": False})
-        synthetic, _ = run_pipeline(synthetic, fc, scorers or ScorerSet())
-
+    synthetic, _ = rule_based_filter(
+        [r for r in synthetic if r.tgt not in authentic_targets])
     return list(authentic_records) + synthetic
 
 
@@ -396,9 +383,7 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
                              dev_records, train_cfg: TrainConfig,
                              prune_cfg: PruneConfig, out_dir,
                              distill_cfg: DistillConfig | None = None,
-                             teacher: TranslationModel | None = None,
-                             filter_cfg: FilterConfig | None = None,
-                             scorers: ScorerSet | None = None) -> PipelineResult:
+                             teacher: TranslationModel | None = None) -> PipelineResult:
     """fine-tune -> prune -> 1-epoch fine-tune -> fp16, with one checkpoint
     and a parent link per stage. Given a teacher and a DistillConfig, both
     fine-tunes train on one distilled corpus (pruning keeps the vocabulary,
@@ -428,7 +413,7 @@ def run_compression_pipeline(baseline: TranslationModel, train_records,
     data = train_records
     if teacher is not None and distill_cfg is not None:
         data = distill(teacher, train_records, distill_cfg, train_records,
-                       filter_cfg, scorers, student_vocab=baseline.vocab)
+                       student_vocab=baseline.vocab)
     stage1, log1 = train(baseline, data, dev_records, train_cfg)
     fp1 = emit("stage1-finetuned", stage1, base_fp,
                {"train_steps": log1.optimizer_steps, "stop": log1.stop_reason})

@@ -17,13 +17,13 @@ import re
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .corpus import ParallelRecord, dedup_key
+from .corpus import ParallelRecord, dedup_key, record_to_json
 from .langid import LangIdModel
-from .model import OverLongError
+from .model import OverLongError, check_range
 
 STAGE_RULE = "rule_based"
 STAGE_LANG = "language_detection"
@@ -49,8 +49,7 @@ class FilterConfig:
     stages_enabled: dict = field(default_factory=dict)   # stage -> bool
 
     def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
+        check_range(self, "threshold")
         for stage in (*self.skip_languages, *self.stages_enabled):
             if stage not in STAGES:
                 raise ValueError(f"unknown stage {stage!r}")
@@ -109,14 +108,6 @@ class StageReport:
                 f"{self.stage}: counts do not telescope "
                 f"({self.n_in} != {self.n_kept} + {dropped})")
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage, "n_in": self.n_in, "n_kept": self.n_kept,
-            "drop_reasons": dict(sorted(self.drop_reasons.items())),
-            "warnings": dict(sorted(self.warnings.items())),
-            "modified": self.modified, "samples": self.samples,
-        }
-
 
 @dataclass
 class FilterReport:
@@ -139,11 +130,8 @@ class FilterReport:
                 raise AssertionError("stage boundaries do not telescope")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "config_fingerprint": self.config_fingerprint,
-            "n_in": self.n_in, "n_out": self.n_out,
-            "stages": [s.to_dict() for s in self.stages],
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self) | {"n_in": self.n_in, "n_out": self.n_out},
+                          indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +298,8 @@ class SubprocessScorer:
         assert self._proc.stdin and self._proc.stdout
         scores = []
         for i, record in enumerate(records):
-            payload = json.dumps({
-                "src_lang": record.src_lang, "tgt_lang": record.tgt_lang,
-                "src": record.src, "tgt": record.tgt, "origin": record.origin,
-            }, ensure_ascii=False)
             try:
-                self._proc.stdin.write(payload + "\n")
+                self._proc.stdin.write(record_to_json(record) + "\n")
                 self._proc.stdin.flush()
             except BrokenPipeError:
                 raise self._exited(i) from None

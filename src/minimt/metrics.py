@@ -198,5 +198,4 @@ def evaluate_direction(model, testset, decode_cfg, clock=None):
         output_tokens=run.output_tokens,
         beam_size=decode_cfg.beam_size,
         batch_token_budget=decode_cfg.batch_token_budget,
-        comet_note="not computed (no neural scorer in this toolkit)",
     )

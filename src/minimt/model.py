@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -55,6 +56,19 @@ def check_counts(config, *names: str, minimum: int = 1) -> None:
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_range(config, *names: str, high: float = 1.0,
+                high_open: bool = False) -> None:
+    """Each named field of config must be a real number (a bool is not one)
+    in [0, high], or in [0, high) when high_open; the settings dataclasses
+    call this from __post_init__."""
+    for name in names:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 <= value <= high or (high_open and value == high)):
+            raise ValueError(f"{name} must be a number in [0, {high:g}"
+                             f"{')' if high_open else ']'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -71,8 +85,7 @@ class ModelConfig:
                      "n_encoder_layers", "n_decoder_layers", "max_positions")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        check_range(self, "dropout_rate", high_open=True)
 
 
 def _encoder_layer_names(i: int):

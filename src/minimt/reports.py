@@ -4,6 +4,9 @@ one writer through which every artifact reaches disk.
 JSON is the lossless canonical form; CSV serializes numbers with 6
 significant digits and has a documented, stable column order. The COMET
 column is structurally absent from EvalRow; comet_note records why.
+
+A JSON artifact (report, manifest) is asdict of its dataclass plus the
+computed keys its to_json names, with sorted keys: one field list each.
 """
 
 from __future__ import annotations
@@ -66,10 +69,8 @@ class EvalReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps({
-            "rows": [asdict(r) for r in self.rows],
-            "aggregates": self.aggregates(),
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self) | {"aggregates": self.aggregates()},
+                          indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -172,7 +173,7 @@ class RunManifest:
             "command": self.command,
             "config": self.config,
             "seed": self.seed,
-            "inputs": dict(sorted(self.inputs.items())),
+            "inputs": self.inputs,
         }, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -185,14 +186,5 @@ class RunManifest:
         self.outputs[os.fspath(path)] = hashlib.sha256(_as_bytes(data)).hexdigest()
 
     def to_json(self) -> str:
-        obj = {
-            "run_id": self.run_id,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "inputs": dict(sorted(self.inputs.items())),
-            "outputs": dict(sorted(self.outputs.items())),
-            "timings": self.timings,
-            "toolkit_version": self.toolkit_version,
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(asdict(self) | {"run_id": self.run_id},
+                          indent=2, sort_keys=True)

@@ -9,9 +9,10 @@ length or length-ratio rules, which keeps noise classes unambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import ParallelRecord, SplitSpec, split_key
+from .model import check_range
 from .rng import Rng
 
 # noise class labels (record.flags ground truth)
@@ -88,12 +89,7 @@ class NoiseRates:
     wrong_lang: float = 0.0
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"noise rate {name}={value} outside [0, 1]")
-
-    def as_dict(self) -> dict[str, float]:
-        return {c: getattr(self, c) for c in NOISE_CLASSES}
+        check_range(self, *NOISE_CLASSES)
 
 
 @dataclass
@@ -189,7 +185,8 @@ def generate_synthetic_corpus(spec: ToyLanguageSpec, sizes: SplitSpec,
     devtest = _clean_records(spec, devtest_b, directions, "synthetic/devtest")
 
     corrupted = []
-    for cls, rate in noise.as_dict().items():
+    # the field order is NOISE_CLASSES, which fixes the injection order
+    for cls, rate in asdict(noise).items():
         n_inject = round(rate * len(train))
         if n_inject == 0:
             continue

@@ -16,13 +16,14 @@ the trained bytes never depend on the CPU count.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import split_key
-from .model import TranslationModel, batch_loss, build_batch, check_counts
+from .model import TranslationModel, batch_loss, build_batch, check_counts, check_range
 from .optim import AdamState, adam_step
 from .parallel import Pool
 from .rng import Rng
@@ -41,8 +42,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        check_range(self, "learning_rate", high=math.inf, high_open=True)
+        check_range(self, "label_smoothing")
         check_counts(self, "batch_size", "grad_accum_steps", "eval_every_steps",
                      "early_stop_patience", "max_epochs")
 

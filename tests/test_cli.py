@@ -437,7 +437,8 @@ class TestErrors:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", ["train_size=20.9", "seed=true", "dev_size=false"])
+    @pytest.mark.parametrize("flag", ["train_size=20.9", "seed=true", "dev_size=false",
+                                      "noise_rates.html=true"])
     def test_fractional_or_boolean_count_is_config_error(self, tmp_path, capsys, flag):
         rc = main(["gen-data", "--out-dir", str(tmp_path / "o"), "--set", flag])
         assert rc == EXIT_USAGE
@@ -448,14 +449,21 @@ class TestErrors:
         ("train", "model.n_encoder_layers=2.5"),
         ("train", "train.batch_size=2.5"),
         ("train", "train.max_epochs=true"),
+        ("train", "train.learning_rate=true"),
+        ("train", "train.label_smoothing=7"),
+        ("train", 'train.label_smoothing="abc"'),
+        ("train", "model.dropout_rate=false"),
         ("bench", "decode.beam_size=2.5"),
         ("bench", "decode.max_output_length=true"),
+        ("filter", "filter.threshold=true"),
     ])
     def test_fractional_or_boolean_config_count_is_config_error(
             self, tiny_ckpt, data_dir, tmp_path, capsys, command, flag):
         if command == "train":
             argv = ["train", "--train-corpus", str(data_dir / "train.jsonl"),
                     "--dev-corpus", str(data_dir / "dev.jsonl")]
+        elif command == "filter":
+            argv = ["filter", "--in", str(data_dir / "train.jsonl")]
         else:
             argv = ["bench", "--ckpt", str(tiny_ckpt),
                     "--testset", str(data_dir / "devtest.jsonl")]

@@ -11,7 +11,7 @@ import pytest
 import minimt.bench as bench
 import minimt.filtering as filtering
 from minimt.bench import encoder_token_count
-from minimt.corpus import ParallelRecord, SplitSpec
+from minimt.corpus import ParallelRecord, SplitSpec, record_to_json
 from minimt.decode import translate_batch
 from minimt.filtering import (
     SEMANTIC_TOKEN_BUDGET,
@@ -360,6 +360,15 @@ SLEEPY_SCORER = (
 )
 
 
+RECORDING_SCORER = (
+    "import sys\n"
+    "with open(sys.argv[1], 'w', encoding='utf-8') as f:\n"
+    "    for line in sys.stdin:\n"
+    "        f.write(line)\n"
+    "        print('0.5', flush=True)\n"
+)
+
+
 QUITTER_SCORER = (
     "import sys\n"
     "sys.stdin.readline()\n"
@@ -388,6 +397,16 @@ class TestSubprocessScorer:
             kept, report = quality_estimation_filter(records, scorer, FilterConfig())
         assert kept == records[:1]
         assert report.drop_reasons == {"quality": 1}
+
+    def test_payload_is_the_corpus_jsonl_line(self, tmp_path):
+        seen = tmp_path / "seen.jsonl"
+        records = [rec("zilo unat dumo", "nulo erin bidu", origin="kd:1234abcd"),
+                   rec("trel «é»", "sani", sl="bnu_Latn", tl="anu_Latn")]
+        with SubprocessScorer([sys.executable, "-c", RECORDING_SCORER,
+                               str(seen)]) as scorer:
+            assert scorer.score_batch(records) == [0.5, 0.5]
+        assert seen.read_text(encoding="utf-8").splitlines() == [
+            record_to_json(r) for r in records]
 
     def test_non_numeric_reply_names_scorer_and_record(self):
         records = [rec("long enough", "tgt text"), rec("abc", "tgt text")]

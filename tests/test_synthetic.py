@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from minimt.corpus import SplitSpec, split_key
@@ -110,6 +112,10 @@ class TestGenerator:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             NoiseRates(html=1.5)
+
+    def test_fields_are_the_noise_classes_in_order(self):
+        # classes are injected in field order, which fixes the corpus bytes
+        assert tuple(f.name for f in fields(NoiseRates)) == NOISE_CLASSES
 
 
 def test_langid_seed_corpus_shapes(spec):
